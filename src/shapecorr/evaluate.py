@@ -27,6 +27,11 @@ __all__ = [
 
 DEFAULT_THRESHOLDS = np.arange(0.0, 0.25 + 1e-9, 0.01)
 
+# correspondence_error: Dijkstra output per batch of sources, and the first
+# search radius as a fraction of the diameter (doubled until all pairs land)
+_CHUNK_BYTES = 2**24
+_START_FRACTION = 1 / 32
+
 
 @dataclass(frozen=True)
 class ErrorCurve:
@@ -59,8 +64,11 @@ def correspondence_error(point_map, truth, mesh_y, diameter=None):
 
     Entry i is the edge-graph distance on the target mesh between the
     predicted image ``point_map[i]`` and the true image ``truth[i]``,
-    divided by the target diameter.  Distances are computed from each
-    distinct true image once.
+    divided by the target diameter.  Exact images cost nothing; Dijkstra
+    runs once from each distinct true image of a wrong vertex, in chunks
+    of at most ``_CHUNK_BYTES`` of distances (memory O(chunk * m), not
+    O(m^2)), and stops at a radius that starts at ``_START_FRACTION`` of
+    the diameter and doubles until every pair of the source is reached.
     """
     predicted = np.asarray(point_map.indices if hasattr(point_map, "indices")
                            else point_map, dtype=np.int64)
@@ -76,9 +84,24 @@ def correspondence_error(point_map, truth, mesh_y, diameter=None):
         diameter = shape_diameter(mesh_y)
     if diameter <= 0:
         raise ValueError("diameter must be positive")
-    sources, inverse = np.unique(expected, return_inverse=True)
-    distances = geodesic_distance_matrix(mesh_y, sources)
-    return distances[inverse, predicted] / diameter
+    errors = np.zeros(len(predicted))
+    wrong = np.flatnonzero(predicted != expected)
+    sources, pair_source = np.unique(expected[wrong], return_inverse=True)
+    chunk = max(1, _CHUNK_BYTES // (8 * m))
+    for first in range(0, len(sources), chunk):
+        pending = np.arange(first, min(first + chunk, len(sources)))
+        pairs = np.flatnonzero((pair_source >= first) & (pair_source < first + chunk))
+        limit = diameter * _START_FRACTION
+        while len(pairs):
+            rows = geodesic_distance_matrix(mesh_y, sources[pending], limit=limit)
+            row = np.searchsorted(pending, pair_source[pairs])
+            dist = rows[row, predicted[wrong[pairs]]]
+            done = np.isfinite(dist) | (limit == np.inf)
+            errors[wrong[pairs[done]]] = dist[done] / diameter
+            pairs = pairs[~done]
+            pending = np.unique(pair_source[pairs])
+            limit = 2 * limit if limit > 0 else np.inf
+    return errors
 
 
 def error_curve(errors, thresholds=None):

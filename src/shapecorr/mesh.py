@@ -194,14 +194,19 @@ def geodesic_distances(mesh, source):
     return GeodesicField(source=source, distances=d)
 
 
-def geodesic_distance_matrix(mesh, sources):
-    """Rows of edge-graph distances for several source vertices at once."""
+def geodesic_distance_matrix(mesh, sources, limit=np.inf):
+    """Rows of edge-graph distances for several source vertices at once.
+
+    Vertices farther than ``limit`` from a source read ``inf`` in its row;
+    the distances within it are the same as without a limit.
+    """
     sources = np.asarray(sources, dtype=np.int64)
     if sources.ndim != 1 or len(sources) == 0:
         raise ValueError("sources must be a nonempty 1-d index array")
     if sources.min() < 0 or sources.max() >= mesh.num_vertices:
         raise ValueError("source vertex index out of range")
-    return csgraph.dijkstra(mesh.edge_graph, directed=False, indices=sources)
+    return csgraph.dijkstra(mesh.edge_graph, directed=False, indices=sources,
+                            limit=limit)
 
 
 def shape_diameter(mesh, sample_count=32):

@@ -3,9 +3,16 @@
 Candidate regions are connected superlevel-set components of the leading
 nontrivial eigenfunctions whose area stays nearly constant over a run of
 thresholds, the discrete analogue of maximally stable extremal regions.
-Regions are plain vertex indicator rows plus their relative areas; no mesh
-reference is kept, so a RegionSet stays valid as long as vertex numbering
-does.
+Each eigenfunction is swept once: a union-find pass over the mesh edges,
+in the order they enter the superlevel sets, builds the merge tree of
+those components on the whole threshold grid (the component tree of
+linear-time MSER, Nister & Stewenius 2008), and the stability test reads
+component areas off the tree.  No per-level graph is built, so the
+number of levels sets the threshold grid only.
+
+Regions are plain vertex indicator rows plus their relative areas; no
+mesh reference is kept, so a RegionSet stays valid as long as vertex
+numbering does.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse import csgraph
 
 from .spectral import project
@@ -36,7 +44,8 @@ class DetectorParams:
     """Knobs of the stable-region sweep.
 
     num_functions nontrivial eigenfunctions are swept over ``levels``
-    uniform thresholds each; a component is emitted once its relative
+    uniform thresholds each (one merge-tree pass per function, whatever
+    the number of levels); a component is emitted once its relative
     area change across ``stability_window`` consecutive thresholds drops
     below ``stability_tol``.  Near-duplicates above ``dedup_overlap``
     Jaccard overlap collapse to the larger region, and regions below
@@ -127,7 +136,10 @@ def regions_from_members(members, mesh):
 def detect_stable_regions(mesh, basis, params=None):
     """Detect area-stable superlevel regions of the leading eigenfunctions.
 
-    Deterministic: same mesh and basis give the identical RegionSet.
+    Each eigenfunction costs one union-find sweep over the mesh edges,
+    sorted by the threshold level at which they become active; ``levels``
+    only sets how fine the threshold grid is, not how many graphs are
+    built.  Deterministic: same mesh and basis give the identical RegionSet.
     Returns regions sorted by descending area.  Raises ValueError when the
     basis carries fewer than ``num_functions`` nontrivial eigenfunctions
     or when no region survives the filters.
@@ -176,62 +188,120 @@ def detect_stable_regions(mesh, basis, params=None):
 
 
 def _stable_components(mesh, phi, params):
-    """Yield (area, members) of area-stable superlevel components of phi."""
+    """Yield (area, members) of area-stable superlevel components of phi.
+
+    A component chain is identified by its peak vertex (largest phi,
+    smallest index on ties): superlevel components only grow as the
+    threshold drops, and when two merge the joint peak is the higher one,
+    so each local maximum traces one chain over a contiguous run of
+    levels.  Each stable component is yielded once, in (peak, level)
+    order, with its area summed over its members in index order.
+    """
     lo, hi = float(phi.min()), float(phi.max())
     if hi - lo <= 1e-12 * max(abs(hi), abs(lo), 1.0):
         return  # constant function has no level-set structure
     thresholds = np.linspace(hi, lo, params.levels)
-    areas = mesh.vertex_areas
-    adjacency = mesh.adjacency
+    m = len(phi)
+    # first level whose superlevel set phi >= t holds the vertex
+    vertex_level = np.searchsorted(-thresholds, -phi)
+    rank = np.empty(m, dtype=np.int64)
+    rank[np.argsort(-phi, kind="stable")] = np.arange(m)
+    changes, died, order = _merge_sweep(mesh.edges, vertex_level, rank, params.levels)
+    position = np.empty(m, dtype=np.int64)
+    position[order] = np.arange(m)
 
-    # per level: full-length component labels (-1 outside the superlevel set)
-    labels_per_level = []
-    # chain identity is the component's peak vertex: superlevel components
-    # only grow as the threshold drops, and when two merge the joint peak
-    # is the higher one, so each local maximum traces one component chain
-    chain_area = {}  # peak vertex -> {level: area}
-    chain_label = {}  # peak vertex -> {level: component label}
-    for level, t in enumerate(thresholds):
-        active = phi >= t
-        idx = np.flatnonzero(active)
-        sub = adjacency[idx][:, idx]
-        _, sub_labels = csgraph.connected_components(sub, directed=False)
-        full = np.full(len(phi), -1, dtype=np.int64)
-        full[idx] = sub_labels
-        labels_per_level.append(full)
-
-        comp_area = np.bincount(sub_labels, weights=areas[idx])
-        # peak per component = active vertex with the largest phi
-        order = np.argsort(-phi[idx], kind="stable")
-        _, first = np.unique(sub_labels[order], return_index=True)
-        peaks = idx[order[first]]
-        for label, peak in enumerate(peaks):
-            chain_area.setdefault(peak, {})[level] = comp_area[label]
-            chain_label.setdefault(peak, {})[level] = label
+    def component(peak, size):
+        return order[position[peak]:position[peak] + size]
 
     w = params.stability_window
-    for peak in sorted(chain_area):
-        level_map = chain_area[peak]
-        levels_present = sorted(level_map)
-        for run in _consecutive_runs(levels_present):
-            for s in range(len(run) - w + 1):
-                window = run[s:s + w]
-                vals = [level_map[l] for l in window]
-                mid = window[w // 2]
-                if (max(vals) - min(vals)) < params.stability_tol * level_map[mid]:
-                    members = labels_per_level[mid] == chain_label[peak][mid]
-                    yield level_map[mid], members
+    for peak in sorted(changes):
+        chain = changes[peak]
+        first = chain[0][0]
+        last = died.get(peak, params.levels) - 1
+        if last - first + 1 < w:
+            continue
+        change_levels = np.array([level for level, _ in chain])
+        # term by term in vertex-index order: the same vertex set gives the
+        # same float whatever order the sweep joined it in
+        chain_area = np.array([np.cumsum(mesh.vertex_areas[np.sort(component(peak, size))])[-1]
+                               for _, size in chain])
+        # areas only grow along a chain, so a window's spread is last - first
+        area = np.repeat(chain_area, np.diff(np.append(change_levels, last + 1)))
+        count = len(area) - w + 1
+        stable = area[w - 1:] - area[:count] < params.stability_tol * area[w // 2:w // 2 + count]
+        mid_levels = first + w // 2 + np.flatnonzero(stable)
+        for j in np.unique(np.searchsorted(change_levels, mid_levels, side="right") - 1):
+            members = np.zeros(m, dtype=bool)
+            members[component(peak, chain[j][1])] = True
+            yield chain_area[j], members
 
 
-def _consecutive_runs(sorted_ints):
-    run = []
-    for x in sorted_ints:
-        if run and x != run[-1] + 1:
-            yield run
-            run = []
-        run.append(x)
-    if run:
-        yield run
+def _merge_sweep(edges, vertex_level, rank, levels):
+    """Superlevel components on every level of a threshold grid, in one pass.
+
+    A union-find sweep adds each level's vertices, then the edges whose
+    later endpoint enters at that level (the merge tree of the components,
+    as in the component tree of MSER).  The root of a component is its
+    peak, the vertex of lowest ``rank``.  Each root keeps its members as a
+    linked list headed by itself, and a union appends the lower peak's
+    list to the higher one's, so in the final ``order`` every component
+    the sweep formed is the slice of ``size`` vertices starting at its peak.
+
+    Returns ``changes`` (peak -> [(level, size)] at every level where the
+    peak's component appeared or grew), ``died`` (peak -> level at which
+    it joined a higher peak) and ``order``.
+    """
+    m = len(vertex_level)
+    edge_level = np.maximum(vertex_level[edges[:, 0]], vertex_level[edges[:, 1]])
+    # a minimum spanning forest under edge level joins the same components
+    # at every level as the full edge set, with at most m - 1 edges
+    forest = csgraph.minimum_spanning_tree(sparse.csr_matrix(
+        (edge_level + 1.0, (edges[:, 0], edges[:, 1])), shape=(m, m))).tocoo()
+    edge_level = forest.data.astype(np.int64) - 1
+    edge_order = np.argsort(edge_level, kind="stable")
+    level_edges = np.column_stack([forest.row, forest.col])[edge_order].tolist()
+    edge_split = np.searchsorted(edge_level[edge_order], np.arange(levels + 1)).tolist()
+    vertex_order = np.argsort(vertex_level, kind="stable")
+    vertex_split = np.searchsorted(vertex_level[vertex_order], np.arange(levels + 1)).tolist()
+    vertex_order = vertex_order.tolist()
+    rank = rank.tolist()
+
+    parent = list(range(m))
+    size = [1] * m
+    after = [-1] * m  # next member in the list, -1 at the end
+    tail = list(range(m))
+    changes, died = {}, {}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for level in range(levels):
+        touched = vertex_order[vertex_split[level]:vertex_split[level + 1]]
+        for u, v in level_edges[edge_split[level]:edge_split[level + 1]]:
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                continue
+            if rank[rv] < rank[ru]:
+                ru, rv = rv, ru
+            parent[rv] = ru
+            after[tail[ru]] = rv
+            tail[ru] = tail[rv]
+            size[ru] += size[rv]
+            died[rv] = level
+            touched.append(ru)
+        for r in {find(r) for r in touched}:
+            changes.setdefault(r, []).append((level, size[r]))
+
+    order = []
+    for root in range(m):
+        v = root if parent[root] == root else -1
+        while v >= 0:
+            order.append(v)
+            v = after[v]
+    return changes, died, np.array(order, dtype=np.int64)
 
 
 def filter_by_area(regions, min_area_frac=0.05):

@@ -1,12 +1,18 @@
 """Error measures, cumulative curves, and the colored-pair export."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import _meshes
-from shapecorr import (DEFAULT_THRESHOLDS, ErrorCurve, PointMap,
-                       correspondence_error, error_curve, export_colored_ply,
-                       read_ply, save_error_curve)
+import _oracles
+from conftest import CREATURE_DETECTOR
+from shapecorr import (DEFAULT_THRESHOLDS, ErrorCurve, PointMap, SolverOptions,
+                       correspondence_error, cotangent_laplacian,
+                       detect_stable_regions, eigenbasis, error_curve,
+                       export_colored_ply, match, read_ply, refine_icp,
+                       region_coefficients, save_error_curve, shape_diameter)
 
 
 class TestErrorCurveClass:
@@ -61,6 +67,74 @@ class TestCorrespondenceError:
             correspondence_error(np.array([0, 9]), np.array([0, 1]), tetra)
         with pytest.raises(ValueError, match="diameter must be positive"):
             correspondence_error(np.array([0]), np.array([1]), tetra, diameter=0.0)
+
+
+@pytest.fixture(scope="module")
+def jitter_pair(creature4, creature4_basis, creature4_regions):
+    """A creature4 twin and the refined point map onto it."""
+    twin = _meshes.jittered(creature4, scale=0.005, seed=11)
+    twin_basis = eigenbasis(*cotangent_laplacian(twin), 20)
+    twin_regions = detect_stable_regions(twin, twin_basis, CREATURE_DETECTOR)
+    coeffs_x = region_coefficients(creature4_regions, creature4_basis)
+    coeffs_y = region_coefficients(twin_regions, twin_basis)
+    lam, mu = _meshes.matching_penalties(coeffs_x, coeffs_y)
+    result = match(coeffs_x, coeffs_y, creature4_regions, twin_regions,
+                   options=SolverOptions(lam=lam, mu=mu))
+    refined = refine_icp(creature4_basis, twin_basis, result.functional_map)
+    return twin, refined.point_map.indices
+
+
+class TestMatchesDenseOracle:
+    """Bounded, chunked Dijkstra gives the dense route's errors bit for bit."""
+
+    @pytest.mark.parametrize("diameter", [None, 1.0])
+    def test_refined_map(self, jitter_pair, diameter):
+        twin, predicted = jitter_pair
+        truth = np.arange(twin.num_vertices)
+        assert (predicted != truth).any()
+        got = correspondence_error(predicted, truth, twin, diameter)
+        want = _oracles.correspondence_error_dense(predicted, truth, twin, diameter)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("diameter", [None, 1.0])
+    def test_far_errors_and_shared_images(self, jitter_pair, rng, diameter):
+        # random images land anywhere, up to the diameter and beyond the
+        # first search radius; a truth of 40 images gives each source many
+        # pairs at different distances
+        twin, predicted = jitter_pair
+        m = twin.num_vertices
+        predicted = predicted.copy()
+        scrambled = rng.choice(m, size=m // 4, replace=False)
+        predicted[scrambled] = rng.integers(0, m, size=len(scrambled))
+        truth = rng.integers(0, 40, size=m)
+        got = correspondence_error(predicted, truth, twin, diameter)
+        want = _oracles.correspondence_error_dense(predicted, truth, twin, diameter)
+        assert np.array_equal(got, want)
+        true_diameter = shape_diameter(twin)
+        scale = true_diameter if diameter is None else diameter
+        assert got.max() * scale > true_diameter / 2  # far past the first radius
+
+    def test_all_exact(self, jitter_pair):
+        twin, _ = jitter_pair
+        truth = np.arange(twin.num_vertices)
+        got = correspondence_error(truth, truth, twin)
+        assert np.array_equal(got, _oracles.correspondence_error_dense(truth, truth, twin))
+        assert got.dtype == np.float64 and not got.any()
+
+    def test_peak_memory_bounded_at_5k(self):
+        # every image is wrong, so all 5,042 rows are needed; the dense
+        # route holds them at once (about 200 MB)
+        mesh = _meshes.creature_5k()
+        truth = np.arange(mesh.num_vertices)
+        diameter = shape_diameter(mesh)
+        tracemalloc.start()
+        try:
+            errors = correspondence_error(np.roll(truth, 1), truth, mesh, diameter)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (errors > 0).all() and np.isfinite(errors).all()
+        assert peak < 64 * 2**20
 
 
 class TestErrorCurveFunction:

@@ -1,14 +1,20 @@
 """Stable-region detection, region sets, and the region file format."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import _meshes
+import _oracles
+from conftest import CREATURE_DETECTOR
 from shapecorr import (
     DetectorParams,
     RegionSet,
     SpectralBasis,
+    cotangent_laplacian,
     detect_stable_regions,
+    eigenbasis,
     filter_by_area,
     load_regions,
     project,
@@ -16,6 +22,7 @@ from shapecorr import (
     regions_from_members,
     save_regions,
 )
+from shapecorr import regions as regions_module
 
 
 def fake_basis(mesh, raw):
@@ -118,8 +125,6 @@ class TestDetector:
         assert len(got) <= 3
 
     def test_deterministic_and_well_formed(self, creature4, creature4_basis, creature4_regions):
-        from conftest import CREATURE_DETECTOR
-
         again = detect_stable_regions(creature4, creature4_basis, CREATURE_DETECTOR)
         assert np.array_equal(again.members, creature4_regions.members)
         assert np.array_equal(again.area_fractions, creature4_regions.area_fractions)
@@ -142,7 +147,6 @@ class TestDetector:
 
     def test_zero_tolerance_finds_nothing(self):
         mesh = _meshes.icosphere(1)
-        from shapecorr import cotangent_laplacian, eigenbasis
         basis = eigenbasis(*cotangent_laplacian(mesh), 10)
         with pytest.raises(ValueError, match="no regions detected"):
             detect_stable_regions(mesh, basis,
@@ -156,6 +160,87 @@ class TestDetector:
     def test_vertex_count_mismatch(self, tetra, creature4_basis):
         with pytest.raises(ValueError, match="vertex counts differ"):
             detect_stable_regions(tetra, creature4_basis)
+
+
+def _detect_recording(mesh, basis, params, sweep, monkeypatch):
+    """Run the detector with ``sweep`` as its per-function component sweep.
+
+    Returns the RegionSet and, per eigenfunction, the sweep's components
+    with repeats dropped (the detector drops them too).
+    """
+    per_function = []
+
+    def recording(mesh, phi, params):
+        seen, out = set(), []
+        for area, members in sweep(mesh, phi, params):
+            if members.tobytes() not in seen:
+                seen.add(members.tobytes())
+                out.append((area, members))
+        per_function.append(out)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(regions_module, "_stable_components", recording)
+        found = detect_stable_regions(mesh, basis, params)
+    return found, per_function
+
+
+def _assert_sweep_matches_oracle(mesh, basis, params, monkeypatch):
+    fast, fast_parts = _detect_recording(
+        mesh, basis, params, regions_module._stable_components, monkeypatch)
+    slow, slow_parts = _detect_recording(
+        mesh, basis, params, _oracles.stable_components_levelwise, monkeypatch)
+    assert len(fast_parts) == len(slow_parts) == params.num_functions
+    for got, want in zip(fast_parts, slow_parts):
+        assert len(got) == len(want)
+        for (area, members), (area_want, members_want) in zip(got, want):
+            assert area == area_want  # bit-equal, not approximately equal
+            assert np.array_equal(members, members_want)
+    assert np.array_equal(fast.members, slow.members)
+    assert np.array_equal(fast.area_fractions, slow.area_fractions)
+
+
+class TestSweepMatchesOracle:
+    """The merge-tree sweep reproduces the per-level sweep bit for bit."""
+
+    @pytest.mark.parametrize("shape", ["creature3", "creature4"])
+    @pytest.mark.parametrize("params", [
+        CREATURE_DETECTOR,
+        DetectorParams(),
+        replace(CREATURE_DETECTOR, stability_window=2),
+        DetectorParams(levels=64, stability_window=4, dedup_overlap=1.0),
+    ], ids=["creature", "default", "window2", "levels64-nodedup"])
+    def test_creatures(self, shape, params, request, monkeypatch):
+        mesh = request.getfixturevalue(shape)
+        basis = request.getfixturevalue(f"{shape}_basis")
+        _assert_sweep_matches_oracle(mesh, basis, params, monkeypatch)
+
+    @pytest.mark.parametrize("jitter_seed", [None, 1])
+    def test_5k(self, jitter_seed, monkeypatch):
+        mesh = _meshes.creature_5k()
+        if jitter_seed is not None:
+            mesh = _meshes.jittered(mesh, 0.005, jitter_seed)
+        basis = eigenbasis(*cotangent_laplacian(mesh), 20)
+        _assert_sweep_matches_oracle(mesh, basis, CREATURE_DETECTOR, monkeypatch)
+
+    def test_tied_values(self, monkeypatch):
+        # peaks of equal value are ordered by vertex index
+        mesh = _meshes.icosphere(3)
+        x, y, z = mesh.vertices.T
+        # bumps rounded to one decimal: whole patches share a value
+        bumps = np.round(np.cos(4 * x) * np.cos(4 * y) + 0.5 * z, 1)
+        # a cap around vertex 0 and vertex 5 alone, at one height: by
+        # smallest vertex the cap's chain comes first, by largest it would not
+        cap = mesh.vertices @ mesh.vertices[0] >= np.cos(0.35)
+        assert np.flatnonzero(cap).max() > 5 and not cap[5]
+        plateaus = np.where(cap | (np.arange(mesh.num_vertices) == 5), 1.0,
+                            -0.01 * (2.0 + x))
+        for raw in (bumps, plateaus):
+            basis = fake_basis(mesh, raw)
+            for levels, window in ((16, 2), (23, 3), (64, 5)):
+                params = DetectorParams(num_functions=1, levels=levels,
+                                        stability_window=window, min_area_frac=0.0)
+                _assert_sweep_matches_oracle(mesh, basis, params, monkeypatch)
 
 
 class TestFilter:
