@@ -36,7 +36,9 @@ class MatchResult:
     were swapped internally to restore q <= r (the matrices returned are
     then transposed back into the caller's orientation, and ``outliers``
     refers to the swapped source side).  ``objective_trace`` holds the
-    joint objective after each outer alternation.
+    joint objective after each outer alternation.  ``converged`` requires
+    both the outer loop to settle and its last pursuit to meet its
+    tolerance before ``options.max_iter``.
     """
 
     functional_map: np.ndarray
@@ -149,7 +151,7 @@ def match(coeffs_x, coeffs_y, regions_x=None, regions_y=None, weights=None,
                        assignment_matrix=assignment.matrix,
                        objective_trace=np.array(trace),
                        outer_iterations=outer,
-                       converged=converged,
+                       converged=converged and result.converged,
                        swapped=False,
                        lam=lam, mu=mu)
 

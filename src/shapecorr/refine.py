@@ -5,15 +5,21 @@ C, coincide with the source row of its corresponding vertex.  Alternating
 exact nearest-row assignment with an orthonormal re-fit of C (a Procrustes
 solve) is ICP in the low-frequency coefficient space; it converges because
 each half-step cannot increase the sum of squared row distances.
+
+The nearest row is the index the linear scan picks: the first minimum of
+the float64 squared distances.  A float32 BLAS screen with a proven error
+margin finds it for almost every query, and the scan's own expression
+decides the rest over the few rows inside the margin.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "PointMap",
@@ -58,9 +64,12 @@ class RefineResult:
 def nearest_rows(points, queries):
     """Index of the exact Euclidean nearest row of ``points`` per query row.
 
-    Uses a k-d tree; exact distance ties resolve to the smallest row
-    index.  Ties are detected by comparing the two nearest distances, so
-    the extra cost is paid only by queries that actually tie.
+    Returns the index the linear scan picks: the first minimum over the
+    rows of ``np.sum((points - q) ** 2, axis=1)`` in float64, so exact ties
+    resolve to the smallest row index.  A float32 BLAS screen settles
+    almost every query with a proven error margin; the few it cannot
+    separate are re-decided by that float64 expression over the rows
+    inside the margin.
     """
     P = np.ascontiguousarray(points, dtype=np.float64)
     Q = np.ascontiguousarray(queries, dtype=np.float64)
@@ -68,19 +77,95 @@ def nearest_rows(points, queries):
         raise ValueError(f"incompatible shapes: points {P.shape}, queries {Q.shape}")
     if len(P) == 0:
         raise ValueError("points must be nonempty")
-    tree = cKDTree(P)
-    if len(P) == 1:
-        return np.zeros(len(Q), dtype=np.int64)
-    dist, idx = tree.query(Q, k=2, workers=-1)
-    best = idx[:, 0].astype(np.int64)
-    tied = dist[:, 0] == dist[:, 1]
-    for row in np.flatnonzero(tied):
-        group = tree.query_ball_point(Q[row], r=dist[row, 0])
-        if group:  # guard against radius rounding
-            best[row] = min(group)
-        else:
-            best[row] = min(idx[row, 0], idx[row, 1])
+    if not (np.isfinite(P).all() and np.isfinite(Q).all()):
+        raise ValueError("points and queries must be finite")
+    best = np.empty(len(Q), dtype=np.int64)
+    if len(Q) == 0:
+        return best
+    m, n = P.shape
+    centre = P.mean(axis=0)
+    centred_p, centred_q = P - centre, Q - centre
+    # a power of two is exact and brings every entry into (-1, 1), so no
+    # float32 square overflows
+    extent = max(np.abs(centred_p).max(), np.abs(centred_q).max())
+    scale = 2.0 ** -int(np.frexp(extent)[1])
+    centred_p *= scale
+    centred_q *= scale
+    # columns [p, |p|^2 / 2] and rows [q, -1]: one matmul scores every
+    # pair as q.p - |p|^2 / 2, which is largest for the nearest row
+    p32 = np.empty((n + 1, m), dtype=np.float32)
+    p32[:n] = centred_p.T
+    half = 0.5 * np.square(p32[:n], dtype=np.float64).sum(axis=0)
+    p32[n] = half
+    q32 = np.empty((len(Q), n + 1), dtype=np.float32)
+    q32[:, :n] = centred_q
+    q32[:, n] = -1.0
+    q_norm = np.sqrt(np.square(q32[:, :n], dtype=np.float64).sum(axis=1))
+    p_max, h_max = np.sqrt(2.0 * half.max()), half.max()
+    # Why the margin holds.  With u = 2**-24, each entry is stored as
+    # x(1 + d), |d| <= u + 2**-52 (float64 centring, float32 cast), and
+    # a score is one float32 dot product of n + 1 terms.  Against the
+    # exact score of the exact rows, (|q|^2 - |p - q|^2) / 2, its error
+    # is at most, to first order, with h = |p|^2 / 2:
+    #   dot product, any summation order   (n + 1) u (|q||p| + h)
+    #   float32 rounding of h              u h
+    #   rounding of the stored q and p     2 u (|q||p| + h)
+    # so e = (n + 4) u (|q| p_max + h_max) bounds it.  A row can tie or
+    # beat the screen's best only within 2e of it; the float32 threshold
+    # best - margin rounds by u (|q| p_max + h_max) more, and one more
+    # such term covers every second-order remainder: 2 (n + 5) u.  The
+    # scan's own float64 distances d err by at most (n + 2) 2**-53 d with
+    # d <= (|q| + p_max)^2, which the second term covers, and 2**-100
+    # covers float32 underflow of entries near zero.  So a row outside
+    # the margin is never a minimum of the scan, and the scan's first
+    # minimum is the screen's best when no other row lies inside it.
+    margin = (2 * (n + 5) * 2.0 ** -24 * (q_norm * p_max + h_max)
+              + (n + 3) * 2.0 ** -53 * (q_norm + p_max) ** 2
+              + 2.0 ** -100).astype(np.float32)
+
+    block = min(len(Q), max(1, _BLOCK_BYTES // (4 * m)))
+    workers = min(_usable_cores(), -(-len(Q) // block))
+    bounds = np.linspace(0, len(Q), workers + 1).astype(np.int64)
+    # allocated here, not in the workers: buffers a worker thread
+    # allocates come from its own malloc arena and stay in the process
+    scores = np.empty((workers, block, m), dtype=np.float32)
+    inside = np.empty((workers, block, m), dtype=bool)
+    # matmul and the reductions release the GIL
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(_screen_rows, P, Q, p32, q32, margin, best,
+                               range(bounds[w], bounds[w + 1]), scores[w], inside[w])
+                   for w in range(workers)]
+        for future in futures:
+            future.result()
     return best
+
+
+# float32 scores of one block of query rows per worker
+_BLOCK_BYTES = 1 << 21
+
+
+def _usable_cores():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _screen_rows(P, Q, p32, q32, margin, best, rows, scores, inside):
+    """Fill ``best[rows]``, one block of query rows at a time."""
+    for start in range(rows.start, rows.stop, len(scores)):
+        stop = min(start + len(scores), rows.stop)
+        s, near = scores[:stop - start], inside[:stop - start]
+        np.matmul(q32[start:stop], p32, out=s)
+        top = s.argmax(axis=1)
+        local = np.arange(stop - start)
+        np.greater_equal(s, (s[local, top] - margin[start:stop])[:, None], out=near)
+        near[local, top] = False
+        best[start:stop] = top
+        for i in np.flatnonzero(near.any(axis=1)):
+            near[i, top[i]] = True
+            rivals = np.flatnonzero(near[i])
+            d2 = np.sum((P[rivals] - Q[start + i]) ** 2, axis=1)
+            best[start + i] = rivals[np.argmin(d2)]
 
 
 def orthogonal_procrustes(targets, sources):

@@ -164,19 +164,8 @@ def detect_stable_regions(mesh, basis, params=None):
 
     # greedy Jaccard dedup, larger regions take precedence
     candidates.sort(key=lambda c: -c[0])
-    kept = []
-    for area, members in candidates:
-        dup = False
-        for _, other in kept:
-            inter = np.count_nonzero(members & other)
-            if inter == 0:
-                continue
-            union = np.count_nonzero(members | other)
-            if inter / union > params.dedup_overlap:
-                dup = True
-                break
-        if not dup:
-            kept.append((area, members))
+    kept = [candidates[i] for i in _greedy_dedup(
+        [members for _, members in candidates], params.dedup_overlap)]
 
     total = mesh.total_area
     kept = [(a, m) for a, m in kept if a / total >= params.min_area_frac]
@@ -185,6 +174,37 @@ def detect_stable_regions(mesh, basis, params=None):
     members = np.array([m for _, m in kept])
     return RegionSet(members=members,
                      area_fractions=np.array([a for a, _ in kept]) / total)
+
+
+def _greedy_dedup(members, overlap):
+    """Indices of the rows kept by a greedy Jaccard dedup, in order.
+
+    A row is dropped when its Jaccard overlap with an earlier kept row
+    exceeds ``overlap``.  The kept rows are held as a 0/1 matrix, so one
+    mat-vec gives a row's intersections with all of them; the counts are
+    integers, exact in float32 below 2**24 vertices, and the overlaps are
+    the same correctly rounded quotients as pairwise integer counts give.
+    """
+    if not members:
+        return []
+    m = len(members[0])
+    dtype = np.float32 if m < 2**24 else np.float64
+    rows = np.empty((16, m), dtype=dtype)
+    sizes = np.empty(16)
+    kept = []
+    for i, row in enumerate(members):
+        size = np.count_nonzero(row)
+        k = len(kept)
+        inter = rows[:k] @ row.astype(dtype)
+        if (inter / (size + sizes[:k] - inter) > overlap).any():
+            continue
+        if k == len(rows):  # grow by doubling
+            rows = np.concatenate([rows, np.empty_like(rows)])
+            sizes = np.concatenate([sizes, np.empty_like(sizes)])
+        rows[k] = row
+        sizes[k] = size
+        kept.append(i)
+    return kept
 
 
 def _stable_components(mesh, phi, params):

@@ -111,6 +111,28 @@ def stable_components_levelwise(mesh, phi, params):
                     yield level_map[mid], members
 
 
+def greedy_dedup_pairwise(members, overlap):
+    """Greedy Jaccard dedup comparing one pair of regions at a time.
+
+    Same contract as ``regions._greedy_dedup``.
+    """
+    kept = []
+    for i, row in enumerate(members):
+        dup = False
+        for j in kept:
+            other = members[j]
+            inter = np.count_nonzero(row & other)
+            if inter == 0:
+                continue
+            union = np.count_nonzero(row | other)
+            if inter / union > overlap:
+                dup = True
+                break
+        if not dup:
+            kept.append(i)
+    return kept
+
+
 def _consecutive_runs(sorted_ints):
     run = []
     for x in sorted_ints:

@@ -1,5 +1,7 @@
 """Alternating matcher: recovery on real regions, mechanics on synthetics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,12 @@ class TestMechanics:
         res = match(A, rng.standard_normal((8, 4)), max_outer=1,
                     options=SolverOptions(lam=0.01, mu=1.0))
         assert res.outer_iterations == 1
+        assert not res.converged
+
+    def test_pursuit_cap_flags_unconverged(self, coeffs3, options3):
+        # the outer loop settles, but its last pursuit stopped at max_iter
+        res = match(coeffs3, coeffs3, options=replace(options3, max_iter=1))
+        assert res.outer_iterations < 10
         assert not res.converged
 
     def test_explicit_penalties_echoed(self, rng):

@@ -1,5 +1,8 @@
 """Coefficient-space ICP: nearest rows, Procrustes refit, end-to-end polish."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,21 @@ import _oracles
 from shapecorr import (PointMap, load_point_map, nearest_rows,
                        orthogonal_procrustes, point_map_from_functional,
                        refine_icp, save_point_map)
+from shapecorr import refine as refine_module
+
+
+def assert_matches_scan(points, queries):
+    got = nearest_rows(points, queries)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _oracles.nearest_rows_scan(points, queries))
+    return got
+
+
+def nearest_by_float32_argmax(points, queries):
+    """The screen without its certificate: argmax of float32 scores."""
+    P = np.asarray(points, dtype=np.float32)
+    Q = np.asarray(queries, dtype=np.float32)
+    return np.argmax(Q @ P.T - 0.5 * np.sum(P * P, axis=1), axis=1)
 
 
 class TestPointMap:
@@ -59,11 +77,95 @@ class TestNearestRows:
         got = nearest_rows(np.array([[1.0, 2.0, 3.0]]), rng.standard_normal((5, 3)))
         assert np.array_equal(got, np.zeros(5, dtype=np.int64))
 
+    @pytest.mark.parametrize("spread", [0.05, None], ids=["near-identity", "far"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    def test_icp_shaped_rows(self, creature4_basis, rng, spread, reverse):
+        # the two calls ICP makes: transported rows against eigenbasis rows
+        # (refine_icp) and the reverse query (point_map_from_functional)
+        raw = rng.standard_normal((20, 20))
+        if spread is not None:
+            raw = np.eye(20) + spread * raw
+        u, _, vt = np.linalg.svd(raw)
+        phi = creature4_basis.functions
+        transported = phi @ (u @ vt).T
+        if reverse:
+            assert_matches_scan(transported, phi)
+        else:
+            assert_matches_scan(phi, transported)
+
+    def test_near_ties_below_float32_resolution(self, rng):
+        # pairs of rows 1e-9 apart; queries at their midpoints, some nudged
+        # 1e-10 towards the later row, which only float64 can resolve
+        base = rng.standard_normal((300, 8))
+        direction = rng.standard_normal((300, 8))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        points = np.concatenate([base, base + 1e-9 * direction])
+        nudge = np.where(rng.random(300) < 0.5, 1e-10, 0.0)[:, None]
+        queries = base + (0.5e-9 + nudge) * direction
+        got = assert_matches_scan(points, queries)
+        assert (got >= 300).any() and (got < 300).any()
+        # the float32 scores alone cannot tell the pairs apart
+        assert not np.array_equal(nearest_by_float32_argmax(points, queries), got)
+
+    def test_common_offset(self, rng):
+        points = 1e4 + rng.standard_normal((400, 6))
+        queries = 1e4 + rng.standard_normal((150, 6))
+        got = assert_matches_scan(points, queries)
+        assert np.array_equal(got, nearest_rows(points - 1e4, queries - 1e4))
+
+    def test_duplicate_rows_in_bulk(self, rng):
+        # every row appears three times; exact ties go to the first copy
+        rows = rng.standard_normal((100, 5))
+        points = np.concatenate([rows, rows[::-1], rows])
+        queries = np.concatenate([rows, rng.standard_normal((100, 5))])
+        got = assert_matches_scan(points, queries)
+        assert np.array_equal(got[:100], np.arange(100))
+
+    def test_more_queries_than_one_block(self, rng):
+        points = rng.standard_normal((300, 7))
+        queries = rng.standard_normal((5000, 7))
+        # several blocks per worker
+        assert len(queries) > 2 * refine_module._BLOCK_BYTES // (4 * len(points))
+        assert_matches_scan(points, queries)
+
+    def test_more_workers_than_cores(self, rng, monkeypatch):
+        # five workers fill disjoint slices of one output array
+        monkeypatch.setattr(refine_module, "_usable_cores", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert_matches_scan(rng.standard_normal((300, 7)),
+                                rng.standard_normal((8000, 7)))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_zero_queries(self):
+        got = nearest_rows(np.ones((4, 3)), np.ones((0, 3)))
+        assert got.shape == (0,)
+        assert got.dtype == np.int64
+
+    def test_peak_allocation_is_bounded(self, rng):
+        # 5,042 rows as in the 5k benchmark mesh: all scores at once would
+        # take 5042^2 float32 = 97 MB, the blocks about 2 MB per worker
+        points = rng.standard_normal((5042, 20))
+        queries = rng.standard_normal((5042, 20))
+        tracemalloc.start()
+        try:
+            nearest_rows(points, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_validation(self):
         with pytest.raises(ValueError, match="incompatible shapes"):
             nearest_rows(np.ones((3, 2)), np.ones((2, 3)))
         with pytest.raises(ValueError, match="nonempty"):
             nearest_rows(np.ones((0, 2)), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            nearest_rows(np.array([[0.0, np.nan]]), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            nearest_rows(np.ones((2, 2)), np.array([[np.inf, 0.0]]))
 
 
 class TestProcrustes:

@@ -243,6 +243,49 @@ class TestSweepMatchesOracle:
                 _assert_sweep_matches_oracle(mesh, basis, params, monkeypatch)
 
 
+def _assert_dedup_matches_oracle(mesh, basis, params, monkeypatch):
+    fast = detect_stable_regions(mesh, basis, params)
+    with monkeypatch.context() as patch:
+        patch.setattr(regions_module, "_greedy_dedup", _oracles.greedy_dedup_pairwise)
+        slow = detect_stable_regions(mesh, basis, params)
+    assert np.array_equal(fast.members, slow.members)
+    assert np.array_equal(fast.area_fractions, slow.area_fractions)
+
+
+class TestDedupMatchesOracle:
+    """The mat-vec dedup keeps exactly the regions the pairwise loop keeps."""
+
+    @pytest.mark.parametrize("shape", ["creature3", "creature4"])
+    def test_creatures(self, shape, request, monkeypatch):
+        mesh = request.getfixturevalue(shape)
+        basis = request.getfixturevalue(f"{shape}_basis")
+        _assert_dedup_matches_oracle(mesh, basis, CREATURE_DETECTOR, monkeypatch)
+
+    @pytest.mark.parametrize("jitter_seed", [None, 1])
+    def test_5k(self, jitter_seed, monkeypatch):
+        mesh = _meshes.creature_5k()
+        if jitter_seed is not None:
+            mesh = _meshes.jittered(mesh, 0.005, jitter_seed)
+        basis = eigenbasis(*cotangent_laplacian(mesh), 20)
+        _assert_dedup_matches_oracle(mesh, basis, CREATURE_DETECTOR, monkeypatch)
+
+    @pytest.mark.parametrize("overlap", [0.1, 0.5, 0.7, 0.8, 1.0])
+    def test_random_sets(self, overlap, rng):
+        # nested and shifted intervals give overlaps on both sides of the limit
+        starts = rng.integers(0, 40, 300)
+        lengths = rng.integers(1, 30, 300)
+        members = [(np.arange(60) >= s) & (np.arange(60) < s + n)
+                   for s, n in zip(starts, lengths)]
+        got = regions_module._greedy_dedup(members, overlap)
+        assert got == _oracles.greedy_dedup_pairwise(members, overlap)
+
+    def test_overlap_equal_to_limit_is_kept(self):
+        # Jaccard 4/5 is not above 0.8: both rows stay
+        members = [np.arange(10) < 5, np.arange(10) < 4]
+        assert regions_module._greedy_dedup(members, 0.8) == [0, 1]
+        assert regions_module._greedy_dedup(members, 0.79) == [0]
+
+
 class TestFilter:
     def test_keeps_large(self):
         rs = RegionSet(members=np.array([[True, False], [True, True], [False, True]]),
