@@ -10,8 +10,7 @@ result into a full point map.
 """
 
 from .assignment import (Assignment, AssignmentInfeasibleError, build_profit,
-                         lp_constraint_matrix, lp_relaxation_solve, prune,
-                         solve_assignment)
+                         prune, solve_assignment)
 from .evaluate import (DEFAULT_THRESHOLDS, ErrorCurve, correspondence_error,
                        error_curve, export_colored_ply, save_error_curve)
 from .matcher import MatchResult, apply_permutation, match, write_match_report

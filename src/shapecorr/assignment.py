@@ -4,8 +4,7 @@ The correspondence step maximizes <E, Pi> over assignments Pi that give
 every source region exactly one target region and every target region at
 most one source (q <= r).  The constraint matrix of the linear relaxation
 is totally unimodular, so its vertices are integral and the combinatorial
-solve and the LP agree; the LP route is kept as an independent
-cross-check.
+solve and the LP agree.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ __all__ = [
     "build_profit",
     "prune",
     "solve_assignment",
-    "lp_relaxation_solve",
-    "lp_constraint_matrix",
 ]
 
 
@@ -107,24 +104,6 @@ def prune(regions_x, regions_y, max_ratio=3.0):
     return mask
 
 
-def _max_matching_size(mask):
-    """Maximum bipartite matching by augmenting paths; desk-scale inputs."""
-    q, r = mask.shape
-    owner = np.full(r, -1)
-
-    def augment(row, banned):
-        for col in np.flatnonzero(mask[row]):
-            if banned[col]:
-                continue
-            banned[col] = True
-            if owner[col] < 0 or augment(owner[col], banned):
-                owner[col] = row
-                return True
-        return False
-
-    return sum(augment(i, np.zeros(r, dtype=bool)) for i in range(q))
-
-
 def solve_assignment(profit, mask=None):
     """Profit-maximizing injective assignment of rows to columns.
 
@@ -132,8 +111,8 @@ def solve_assignment(profit, mask=None):
     infinitesimal preference for small row and column indices: the profit
     is perturbed by -eps * (i * r + j) with eps = 1e-12 * max |E|, which
     keeps the result deterministic without affecting strict optima.
-    Masked pairs get a profit penalty large enough that they are never
-    chosen while any fully feasible assignment exists.
+    Masked pairs cost infinity, so they are never chosen; a mask that
+    admits no complete assignment raises AssignmentInfeasibleError.
     """
     E = np.asarray(profit, dtype=np.float64)
     if E.ndim != 2:
@@ -150,56 +129,12 @@ def solve_assignment(profit, mask=None):
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != E.shape:
             raise ValueError(f"mask shape {mask.shape} != profit shape {E.shape}")
-        if not mask.all():
-            if _max_matching_size(mask) < q:
-                raise AssignmentInfeasibleError(
-                    "feasibility mask admits no complete assignment; "
-                    "relax max_ratio")
-            # any feasible assignment beats any one using a masked pair
-            cost = np.where(mask, cost, (2.0 * q + 1.0) * (top + 1.0))
-    rows, cols = optimize.linear_sum_assignment(cost)
-    assert np.array_equal(rows, np.arange(q))
-    if mask is not None and not mask[rows, cols].all():
+        cost = np.where(mask, cost, np.inf)
+    try:
+        rows, cols = optimize.linear_sum_assignment(cost)
+    except ValueError as exc:  # scipy: "cost matrix is infeasible"
         raise AssignmentInfeasibleError(
-            "optimal assignment crossed the feasibility mask")
+            "feasibility mask admits no complete assignment; "
+            "relax max_ratio") from exc
+    assert np.array_equal(rows, np.arange(q))
     return Assignment(cols=cols, num_cols=r)
-
-
-def lp_relaxation_solve(profit):
-    """Linear-programming relaxation of the assignment step.
-
-    Maximizes <E, Pi> subject to row sums equal one and column sums at
-    most one over nonnegative Pi.  The constraint system is totally
-    unimodular, so the simplex optimum lands on an integral vertex; this
-    is the slow reference route used by the tests.
-    """
-    E = np.asarray(profit, dtype=np.float64)
-    if E.ndim != 2:
-        raise ValueError("profit must be a 2-d array")
-    q, r = E.shape
-    if q > r:
-        raise ValueError(f"need q <= r, got {q} rows and {r} columns")
-    # column-major vectorization: constraint rows stay Kronecker products
-    cost = -E.flatten(order="F")
-    row_sums = np.kron(np.ones((1, r)), np.eye(q))
-    col_sums = np.kron(np.eye(r), np.ones((1, q)))
-    res = optimize.linprog(cost, A_ub=col_sums, b_ub=np.ones(r),
-                           A_eq=row_sums, b_eq=np.ones(q),
-                           bounds=(0.0, 1.0), method="highs")
-    if not res.success:
-        raise RuntimeError(f"LP relaxation failed: {res.message}")
-    return res.x.reshape((q, r), order="F")
-
-
-def lp_constraint_matrix(q):
-    """Constraint matrix [[1^T kron I], [I kron 1^T]] of the square case.
-
-    Acts on the column-major vectorization of Pi: the top block sums rows,
-    the bottom block sums columns.  Every square submatrix has determinant
-    in {-1, 0, 1}, which is what makes the relaxation integral.
-    """
-    if q < 1:
-        raise ValueError("q must be positive")
-    eye = np.eye(q, dtype=np.int64)
-    ones = np.ones((1, q), dtype=np.int64)
-    return np.vstack([np.kron(ones, eye), np.kron(eye, ones)])

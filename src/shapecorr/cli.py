@@ -45,7 +45,11 @@ class PipelineError(Exception):
 
 @dataclass
 class PipelineConfig:
-    """Flat pipeline configuration; field names double as config keys."""
+    """Flat pipeline configuration; field names double as config keys.
+
+    Detector and solver keys take their defaults from DetectorParams and
+    SolverOptions.
+    """
 
     mesh_x: str = ""
     mesh_y: str = ""
@@ -56,17 +60,17 @@ class PipelineConfig:
     region_source: str = "detect"  # "detect" or "files"
     regions_x: str = ""
     regions_y: str = ""
-    num_functions: int = 8
-    levels: int = 64
-    stability_tol: float = 0.05
-    stability_window: int = 5
-    min_area_frac: float = 0.05
-    dedup_overlap: float = 0.8
-    lam: float | None = None
-    mu: float | None = None
-    tol: float = 1e-8
-    max_iter: int = 2000
-    accel: bool = True
+    num_functions: int = DetectorParams.num_functions
+    levels: int = DetectorParams.levels
+    stability_tol: float = DetectorParams.stability_tol
+    stability_window: int = DetectorParams.stability_window
+    min_area_frac: float = DetectorParams.min_area_frac
+    dedup_overlap: float = DetectorParams.dedup_overlap
+    lam: float | None = SolverOptions.lam
+    mu: float | None = SolverOptions.mu
+    tol: float = SolverOptions.tol
+    max_iter: int = SolverOptions.max_iter
+    accel: bool = SolverOptions.accelerated
     weight_p: float = 1.0
     prune_ratio: float = 3.0
     max_outer: int = 10
@@ -80,6 +84,14 @@ class PipelineConfig:
 
 # config keys appearing under a different flag spelling
 _KEY_ALIASES = {"lambda": "lam"}
+
+_CHOICES = {"region_source": ("detect", "files")}
+
+
+def _field_kind(field):
+    """Scalar type of a dataclass field: bool, int, float or str."""
+    return {"int": int, "float": float, "bool": bool,
+            "float | None": float}.get(field.type, str)
 
 
 def _parse_value(key, raw, kind):
@@ -119,24 +131,17 @@ def load_config(path):
         if key not in known:
             raise PipelineError(
                 "config", f"{path}:{lineno}: unknown key {key!r}", exit_code=2)
-        field = known[key]
-        kind = {"int": int, "float": float, "bool": bool, "str": str,
-                "float | None": float}.get(field.type if isinstance(field.type, str)
-                                           else field.type.__name__, str)
         try:
-            setattr(config, key, _parse_value(key, value, kind))
+            setattr(config, key, _parse_value(key, value, _field_kind(known[key])))
         except ValueError as exc:
             raise PipelineError("config", f"{path}:{lineno}: {exc}", exit_code=2) from exc
     return config
 
 
-def _detector_params(config):
-    return DetectorParams(num_functions=config.num_functions,
-                          levels=config.levels,
-                          stability_tol=config.stability_tol,
-                          stability_window=config.stability_window,
-                          min_area_frac=config.min_area_frac,
-                          dedup_overlap=config.dedup_overlap)
+def _detector_params(source):
+    """DetectorParams from a config or parsed flags carrying its field names."""
+    return DetectorParams(**{f.name: getattr(source, f.name)
+                             for f in fields(DetectorParams)})
 
 
 def _solver_options(config):
@@ -331,13 +336,7 @@ def _cmd_basis(args):
 def _cmd_detect(args):
     mesh = load_mesh(args.mesh)
     basis = _mesh_basis(mesh, args.basis_cache, args.basis_size)
-    params = DetectorParams(num_functions=args.num_functions,
-                            levels=args.levels,
-                            stability_tol=args.stability_tol,
-                            stability_window=args.stability_window,
-                            min_area_frac=args.min_area_frac,
-                            dedup_overlap=args.dedup_overlap)
-    regions = detect_stable_regions(mesh, basis, params)
+    regions = detect_stable_regions(mesh, basis, _detector_params(args))
     save_regions(regions, args.output)
     print(f"wrote {args.output} ({len(regions)} regions)")
     return 0
@@ -425,37 +424,17 @@ def _cmd_export(args):
 def _add_pipeline_flags(sub):
     """One flag per config key, default None so only set flags override."""
     sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--mesh-x", dest="mesh_x")
-    sub.add_argument("--mesh-y", dest="mesh_y")
-    sub.add_argument("--out-dir", dest="out_dir")
-    sub.add_argument("--basis-size", dest="basis_size", type=int)
-    sub.add_argument("--basis-cache-x", dest="basis_cache_x")
-    sub.add_argument("--basis-cache-y", dest="basis_cache_y")
-    sub.add_argument("--region-source", dest="region_source",
-                     choices=("detect", "files"))
-    sub.add_argument("--regions-x", dest="regions_x")
-    sub.add_argument("--regions-y", dest="regions_y")
-    sub.add_argument("--num-functions", dest="num_functions", type=int)
-    sub.add_argument("--levels", dest="levels", type=int)
-    sub.add_argument("--stability-tol", dest="stability_tol", type=float)
-    sub.add_argument("--stability-window", dest="stability_window", type=int)
-    sub.add_argument("--min-area-frac", dest="min_area_frac", type=float)
-    sub.add_argument("--dedup-overlap", dest="dedup_overlap", type=float)
-    sub.add_argument("--lambda", dest="lam", type=float)
-    sub.add_argument("--mu", dest="mu", type=float)
-    sub.add_argument("--tol", dest="tol", type=float)
-    sub.add_argument("--max-iter", dest="max_iter", type=int)
-    sub.add_argument("--no-accel", dest="accel", action="store_false",
-                     default=None)
-    sub.add_argument("--weight-p", dest="weight_p", type=float)
-    sub.add_argument("--prune-ratio", dest="prune_ratio", type=float)
-    sub.add_argument("--max-outer", dest="max_outer", type=int)
-    sub.add_argument("--outer-tol", dest="outer_tol", type=float)
-    sub.add_argument("--refine-iters", dest="refine_iters", type=int)
-    sub.add_argument("--truth", dest="truth")
-    sub.add_argument("--diameter-samples", dest="diameter_samples", type=int)
-    sub.add_argument("--threshold-max", dest="threshold_max", type=float)
-    sub.add_argument("--threshold-step", dest="threshold_step", type=float)
+    flag_names = {key: flag for flag, key in _KEY_ALIASES.items()}
+    for f in fields(PipelineConfig):
+        kind = _field_kind(f)
+        if kind is bool:
+            # boolean keys default to on; the flag turns one off
+            sub.add_argument(f"--no-{f.name}", dest=f.name,
+                             action="store_false", default=None)
+        else:
+            flag = flag_names.get(f.name, f.name).replace("_", "-")
+            sub.add_argument(f"--{flag}", dest=f.name, type=kind,
+                             choices=_CHOICES.get(f.name))
 
 
 def build_parser():
@@ -476,14 +455,11 @@ def build_parser():
     p.add_argument("--basis-cache", dest="basis_cache", default="")
     p.add_argument("--basis-size", dest="basis_size", type=int,
                    default=DEFAULT_BASIS_SIZE)
-    p.add_argument("--num-functions", dest="num_functions", type=int, default=8)
-    p.add_argument("--levels", dest="levels", type=int, default=64)
-    p.add_argument("--stability-tol", dest="stability_tol", type=float, default=0.05)
-    p.add_argument("--stability-window", dest="stability_window", type=int, default=5)
-    p.add_argument("--min-area-frac", dest="min_area_frac", type=float, default=0.05)
-    p.add_argument("--dedup-overlap", dest="dedup_overlap", type=float, default=0.8)
+    for f in fields(DetectorParams):
+        p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
+                       type=_field_kind(f), default=f.default)
 
-    p = sub.add_parser("match", help="run the pipeline through matching and refinement")
+    p = sub.add_parser("match", help="run the pipeline through matching")
     _add_pipeline_flags(p)
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")
@@ -493,23 +469,27 @@ def build_parser():
     p.add_argument("--basis-x", dest="basis_x", required=True)
     p.add_argument("--basis-y", dest="basis_y", required=True)
     p.add_argument("--fmap", required=True)
-    p.add_argument("-o", "--out-dir", dest="out_dir", default="out")
-    p.add_argument("--refine-iters", dest="refine_iters", type=int, default=30)
+    p.add_argument("-o", "--out-dir", dest="out_dir", default=PipelineConfig.out_dir)
+    p.add_argument("--refine-iters", dest="refine_iters", type=int,
+                   default=PipelineConfig.refine_iters)
 
     p = sub.add_parser("eval", help="score a point map against ground truth")
     p.add_argument("--map", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--mesh-y", dest="mesh_y", required=True)
-    p.add_argument("-o", "--out-dir", dest="out_dir", default="out")
-    p.add_argument("--diameter-samples", dest="diameter_samples", type=int, default=32)
-    p.add_argument("--threshold-max", dest="threshold_max", type=float, default=0.25)
-    p.add_argument("--threshold-step", dest="threshold_step", type=float, default=0.01)
+    p.add_argument("-o", "--out-dir", dest="out_dir", default=PipelineConfig.out_dir)
+    p.add_argument("--diameter-samples", dest="diameter_samples", type=int,
+                   default=PipelineConfig.diameter_samples)
+    p.add_argument("--threshold-max", dest="threshold_max", type=float,
+                   default=PipelineConfig.threshold_max)
+    p.add_argument("--threshold-step", dest="threshold_step", type=float,
+                   default=PipelineConfig.threshold_step)
 
     p = sub.add_parser("export", help="write color-matched PLY pairs")
     p.add_argument("--mesh-x", dest="mesh_x", required=True)
     p.add_argument("--mesh-y", dest="mesh_y", required=True)
     p.add_argument("--map", required=True)
-    p.add_argument("-o", "--out-dir", dest="out_dir", default="out")
+    p.add_argument("-o", "--out-dir", dest="out_dir", default=PipelineConfig.out_dir)
 
     return parser
 

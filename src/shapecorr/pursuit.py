@@ -15,8 +15,9 @@ eigenvalue of the joint quadratic's Hessian
 
     H = [[A^T A, A^T], [A, I]],
 
-estimated by power iteration; H is the Gram matrix of [A I], hence
-positive semidefinite with top eigenvalue at least 1.
+the Lipschitz constant of its gradient.  H is the Gram matrix of [A I],
+whose nonzero spectrum is that of A A^T + I, so the top eigenvalue is
+sigma_max(A)^2 + 1 in closed form.
 """
 
 from __future__ import annotations
@@ -123,37 +124,16 @@ def prox_l21_rows(values, step):
     return values * scale[:, None]
 
 
-def step_size(dictionary, tol=1e-6, max_iter=10000):
+def step_size(dictionary):
     """Largest eigenvalue of the joint Hessian [[A^T A, A^T], [A, I]].
 
-    Power iteration on the (n + q)-dimensional block operator, run to a
-    relative eigenvalue tolerance; the result is clamped to at least 1,
-    the floor imposed by the identity block.
+    Exactly sigma_max(A)^2 + 1: the Hessian is the Gram matrix of [A I],
+    whose nonzero eigenvalues are those of A A^T + I.
     """
     A = np.asarray(dictionary, dtype=np.float64)
     if A.ndim != 2 or A.size == 0:
         raise ValueError("dictionary must be a nonempty 2-d array")
-    q, n = A.shape
-    rng = np.random.default_rng(609183)
-    x = rng.standard_normal(n)
-    y = rng.standard_normal(q)
-    norm = np.hypot(np.linalg.norm(x), np.linalg.norm(y))
-    x /= norm
-    y /= norm
-    eig_prev = 0.0
-    for _ in range(max_iter):
-        Ax = A @ x
-        new_y = Ax + y
-        new_x = A.T @ new_y
-        eig = np.hypot(np.linalg.norm(new_x), np.linalg.norm(new_y))
-        if eig < 1e-300:
-            break  # start vector fell in the null space; floor applies
-        x = new_x / eig
-        y = new_y / eig
-        if abs(eig - eig_prev) <= tol * eig:
-            break
-        eig_prev = eig
-    return max(eig, 1.0)
+    return float(np.linalg.norm(A, 2)) ** 2 + 1.0
 
 
 def objective(dictionary, target, functional_map, outliers, weights, lam, mu):

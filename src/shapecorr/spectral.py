@@ -33,10 +33,6 @@ __all__ = [
 
 DEFAULT_BASIS_SIZE = 20
 
-# above this vertex count the dense generalized solver is slower than
-# shift-invert Lanczos on the sparse pair
-_DENSE_LIMIT = 2000
-
 _CACHE_MAGIC = b"SCB1"
 
 
@@ -162,8 +158,8 @@ def cotangent_laplacian(mesh):
 def eigenbasis(stiffness, masses, n=DEFAULT_BASIS_SIZE):
     """Lowest ``n`` eigenpairs of  S phi = lambda M phi  as a SpectralBasis.
 
-    Dense generalized solve up to 2000 vertices, shift-invert Lanczos on
-    the sparse pair above that.
+    Shift-invert Lanczos on the sparse pair; ARPACK needs n < m, so a
+    basis of every vertex falls back to the dense generalized solve.
     """
     m = stiffness.shape[0]
     masses = np.asarray(masses, dtype=np.float64)
@@ -172,17 +168,19 @@ def eigenbasis(stiffness, masses, n=DEFAULT_BASIS_SIZE):
     if not 1 <= n <= m:
         raise ValueError(f"basis size {n} out of range [1, {m}]")
 
-    if m <= _DENSE_LIMIT:
+    if n == m:
         dense = stiffness.toarray() if sparse.issparse(stiffness) else np.asarray(stiffness)
-        ev, phi = scipy.linalg.eigh(dense, np.diag(masses), subset_by_index=[0, n - 1])
+        ev, phi = scipy.linalg.eigh(dense, np.diag(masses))
     else:
         # shift just below zero keeps the factorized matrix nonsingular and
-        # targets the bottom of the spectrum at any geometric scale
+        # targets the bottom of the spectrum at any geometric scale; a fixed
+        # start vector makes the basis a deterministic function of the mesh
         sigma = -1.0 / float(masses.sum())
+        start = np.random.default_rng(0).uniform(-1.0, 1.0, m)
         try:
             ev, phi = scipy.sparse.linalg.eigsh(
                 sparse.csc_matrix(stiffness), k=n, M=sparse.diags(masses),
-                sigma=sigma, which="LM")
+                sigma=sigma, which="LM", v0=start)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
 

@@ -3,6 +3,7 @@
 from itertools import permutations
 
 import numpy as np
+from scipy import optimize
 from scipy.sparse import csgraph
 
 
@@ -46,6 +47,46 @@ def brute_force_assignment(profit, mask=None):
     if not np.isfinite(values[best]):
         return None, -np.inf
     return perms[best], float(values[best])
+
+
+def lp_relaxation_solve(profit):
+    """Linear-programming relaxation of the assignment step.
+
+    Maximizes <E, Pi> subject to row sums equal one and column sums at
+    most one over nonnegative Pi.  The constraint system is totally
+    unimodular, so the simplex optimum lands on an integral vertex; this
+    is the slow reference route for ``solve_assignment``.
+    """
+    E = np.asarray(profit, dtype=np.float64)
+    if E.ndim != 2:
+        raise ValueError("profit must be a 2-d array")
+    q, r = E.shape
+    if q > r:
+        raise ValueError(f"need q <= r, got {q} rows and {r} columns")
+    # column-major vectorization: constraint rows stay Kronecker products
+    cost = -E.flatten(order="F")
+    row_sums = np.kron(np.ones((1, r)), np.eye(q))
+    col_sums = np.kron(np.eye(r), np.ones((1, q)))
+    res = optimize.linprog(cost, A_ub=col_sums, b_ub=np.ones(r),
+                           A_eq=row_sums, b_eq=np.ones(q),
+                           bounds=(0.0, 1.0), method="highs")
+    if not res.success:
+        raise RuntimeError(f"LP relaxation failed: {res.message}")
+    return res.x.reshape((q, r), order="F")
+
+
+def lp_constraint_matrix(q):
+    """Constraint matrix [[1^T kron I], [I kron 1^T]] of the square case.
+
+    Acts on the column-major vectorization of Pi: the top block sums rows,
+    the bottom block sums columns.  Every square submatrix has determinant
+    in {-1, 0, 1}, which is what makes the relaxation integral.
+    """
+    if q < 1:
+        raise ValueError("q must be positive")
+    eye = np.eye(q, dtype=np.int64)
+    ones = np.ones((1, q), dtype=np.int64)
+    return np.vstack([np.kron(ones, eye), np.kron(eye, ones)])
 
 
 def nearest_rows_scan(points, queries):

@@ -14,11 +14,11 @@ import pytest
 
 import _meshes
 import _oracles
+from _oracles import lp_constraint_matrix, lp_relaxation_solve
 from conftest import CREATURE_DETECTOR
 from shapecorr import (DetectorParams, SolverOptions, correspondence_error,
                        cotangent_laplacian, detect_stable_regions, eigenbasis,
-                       error_curve, geodesic_distance_matrix,
-                       lp_constraint_matrix, lp_relaxation_solve, match,
+                       error_curve, geodesic_distance_matrix, match,
                        prox_l21_rows, prox_weighted_l1, refine_icp,
                        region_coefficients, regions_from_members, save_mesh,
                        shape_diameter, solve_assignment)

@@ -1,4 +1,4 @@
-"""Injective assignment: Hungarian route, LP route, masks, tie handling."""
+"""Injective assignment: Hungarian route, LP oracle, masks, tie handling."""
 
 from itertools import combinations
 from types import SimpleNamespace
@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 import _oracles
+from _oracles import lp_constraint_matrix, lp_relaxation_solve
 from shapecorr import (
     Assignment,
     AssignmentInfeasibleError,
     build_profit,
-    lp_constraint_matrix,
-    lp_relaxation_solve,
     prune,
     solve_assignment,
 )
@@ -127,6 +126,14 @@ class TestSolveAssignment:
         mask = np.array([[True, False], [True, False]])
         with pytest.raises(AssignmentInfeasibleError, match="no complete"):
             solve_assignment(np.ones((2, 2)), mask)
+
+    def test_rectangular_hall_violation(self):
+        # every row has candidates, but three rows share only two columns
+        mask = np.zeros((3, 5), dtype=bool)
+        mask[:, :2] = True
+        assert _oracles.brute_force_assignment(np.ones((3, 5)), mask)[0] is None
+        with pytest.raises(AssignmentInfeasibleError, match="no complete"):
+            solve_assignment(np.ones((3, 5)), mask)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="swap"):

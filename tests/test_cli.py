@@ -1,11 +1,14 @@
-"""Config parsing, pipeline artifacts, and subcommand exit codes."""
+"""Config parsing, generated flags, pipeline artifacts, and exit codes."""
+
+import argparse
 
 import numpy as np
 import pytest
 
 import _meshes
-from shapecorr import save_mesh
-from shapecorr.cli import (PipelineConfig, PipelineError, load_config,
+from shapecorr import DetectorParams, SolverOptions, save_mesh
+from shapecorr.cli import (PipelineConfig, PipelineError, _detector_params,
+                           _solver_options, build_parser, load_config,
                            load_functional_map, main, run_pipeline,
                            save_functional_map)
 
@@ -103,6 +106,67 @@ class TestConfig:
         with pytest.raises(PipelineError) as info:
             load_config(tmp_path / "absent.cfg")
         assert info.value.exit_code == 2
+
+
+PIPELINE_FLAGS = {
+    "--config", "--mesh-x", "--mesh-y", "--out-dir", "--basis-size",
+    "--basis-cache-x", "--basis-cache-y", "--region-source", "--regions-x",
+    "--regions-y", "--num-functions", "--levels", "--stability-tol",
+    "--stability-window", "--min-area-frac", "--dedup-overlap", "--lambda",
+    "--mu", "--tol", "--max-iter", "--no-accel", "--weight-p",
+    "--prune-ratio", "--max-outer", "--outer-tol", "--refine-iters",
+    "--truth", "--diameter-samples", "--threshold-max", "--threshold-step",
+}
+
+
+def _subparser(name):
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", ["run", "match"])
+    def test_pipeline_flags(self, command):
+        flags = {opt for action in _subparser(command)._actions
+                 for opt in action.option_strings} - {"-h", "--help"}
+        assert len(PIPELINE_FLAGS) == 30
+        assert flags == PIPELINE_FLAGS
+
+    def test_pipeline_flags_parse_typed(self):
+        args = build_parser().parse_args(
+            ["run", "--basis-size", "7", "--lambda", "0.5", "--no-accel",
+             "--region-source", "files", "--regions-x", "r.txt"])
+        assert args.basis_size == 7
+        assert args.lam == 0.5
+        assert args.accel is False
+        assert (args.region_source, args.regions_x) == ("files", "r.txt")
+        # unset flags stay None so they never override a config file
+        assert args.levels is None and args.mu is None and args.truth is None
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--region-source", "guess"])
+
+    def test_detect_defaults(self):
+        args = build_parser().parse_args(["detect", "m.off", "-o", "r.txt"])
+        assert _detector_params(args) == DetectorParams()
+
+    def test_config_defaults_match_stage_defaults(self):
+        config = PipelineConfig()
+        assert _detector_params(config) == DetectorParams()
+        assert _solver_options(config) == SolverOptions()
+
+    def test_refine_and_eval_defaults(self):
+        config = PipelineConfig()
+        args = build_parser().parse_args(
+            ["refine", "--basis-x", "a", "--basis-y", "b", "--fmap", "f"])
+        assert (args.out_dir, args.refine_iters) == (
+            config.out_dir, config.refine_iters)
+        args = build_parser().parse_args(
+            ["eval", "--map", "p", "--truth", "t", "--mesh-y", "y"])
+        assert (args.out_dir, args.diameter_samples, args.threshold_max,
+                args.threshold_step) == (
+            config.out_dir, config.diameter_samples, config.threshold_max,
+            config.threshold_step)
 
 
 class TestFunctionalMapIO:

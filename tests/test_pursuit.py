@@ -5,14 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _meshes
 import _oracles
+from conftest import CREATURE_DETECTOR
 from shapecorr import (
     SolverOptions,
+    cotangent_laplacian,
     default_weights,
+    detect_stable_regions,
+    eigenbasis,
     objective,
     optimality_residual,
     prox_l21_rows,
     prox_weighted_l1,
+    region_coefficients,
     resolve_penalties,
     solve_robust_sparse_coding,
     step_size,
@@ -114,14 +120,23 @@ class TestStepSize:
         for _ in range(10):
             A = rng.standard_normal((rng.integers(2, 9), rng.integers(2, 9)))
             oracle = np.linalg.svd(A, compute_uv=False)[0] ** 2 + 1.0
-            got = step_size(A)
-            assert got <= oracle * (1 + 1e-12)  # Rayleigh bound
-            assert got == pytest.approx(oracle, rel=2e-4)
+            assert step_size(A) == pytest.approx(oracle, rel=1e-12)
 
     def test_matches_dense_hessian(self, rng):
         A = rng.standard_normal((6, 4))
         H = np.block([[A.T @ A, A.T], [A, np.eye(6)]])
         assert step_size(A) == pytest.approx(np.linalg.eigvalsh(H)[-1], rel=1e-5)
+
+    def test_bounds_hessian_of_region_coefficients(self):
+        # the 1/L step behind the monotone unaccelerated trace needs
+        # step_size >= L itself, not an estimate from below
+        mesh = _meshes.creature_5k()
+        basis = eigenbasis(*cotangent_laplacian(mesh), 20)
+        A = region_coefficients(
+            detect_stable_regions(mesh, basis, CREATURE_DETECTOR), basis)
+        assert A.shape == (91, 20)
+        H = np.block([[A.T @ A, A.T], [A, np.eye(len(A))]])
+        assert step_size(A) >= np.linalg.eigvalsh(H)[-1] * (1 - 1e-12)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="nonempty 2-d"):

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import _meshes
-import shapecorr.spectral as spectral_mod
 from shapecorr import (
     Mesh,
     MeshValidationError,
@@ -111,17 +111,38 @@ class TestEigenbasis:
         peak = np.argmax(np.abs(phi), axis=0)
         assert (phi[peak, np.arange(phi.shape[1])] > 0).all()
 
-    def test_dense_and_sparse_paths_agree(self, monkeypatch):
+    def test_dense_and_sparse_paths_agree(self):
         mesh = _meshes.blob(3)  # 642 vertices, simple low spectrum
         stiffness, masses = cotangent_laplacian(mesh)
-        dense = eigenbasis(stiffness, masses, 12)
-        monkeypatch.setattr(spectral_mod, "_DENSE_LIMIT", 10)
         sparse = eigenbasis(stiffness, masses, 12)
-        assert sparse.eigenvalues == pytest.approx(dense.eigenvalues,
+        ev, phi = scipy.linalg.eigh(stiffness.toarray(), np.diag(masses),
+                                    subset_by_index=[0, 11])
+        assert sparse.eigenvalues == pytest.approx(np.maximum(ev, 0.0),
                                                    rel=1e-8, abs=1e-8)
-        dots = np.einsum("ij,ij->j", dense.functions,
-                         sparse.functions * masses[:, None])
+        dots = np.einsum("ij,ij->j", phi, sparse.functions * masses[:, None])
         assert np.abs(dots) == pytest.approx(np.ones(12), abs=1e-7)
+
+    def test_deterministic(self, creature4):
+        # ARPACK draws its start vector at random unless one is given
+        stiffness, masses = cotangent_laplacian(creature4)
+        first = eigenbasis(stiffness, masses, 20)
+        again = eigenbasis(stiffness, masses, 20)
+        assert np.array_equal(first.functions, again.functions)
+        assert np.array_equal(first.eigenvalues, again.eigenvalues)
+
+    @pytest.mark.parametrize("drop", [1, 0], ids=["n=m-1", "n=m"])
+    def test_basis_of_all_vertices(self, ico, drop):
+        # ARPACK takes n up to m - 1; n = m needs the dense solve
+        stiffness, masses = cotangent_laplacian(ico)
+        n = ico.num_vertices - drop
+        basis = eigenbasis(stiffness, masses, n)
+        ev = scipy.linalg.eigh(stiffness.toarray(), np.diag(masses),
+                               eigvals_only=True)[:n]
+        assert basis.eigenvalues == pytest.approx(np.maximum(ev, 0.0),
+                                                  rel=1e-10, abs=1e-10)
+        phi = basis.functions
+        resid = stiffness @ phi - (phi * masses[:, None]) * basis.eigenvalues
+        assert np.abs(resid).max() < 1e-8 * basis.eigenvalues.max()
 
     def test_scaling_law(self):
         base = _meshes.blob(2)
