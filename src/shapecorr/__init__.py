@@ -24,8 +24,8 @@ from .refine import (PointMap, RefineResult, load_point_map, nearest_rows,
                      orthogonal_procrustes, point_map_from_functional,
                      refine_icp, save_point_map)
 from .regions import (DetectorParams, RegionSet, detect_stable_regions,
-                      filter_by_area, load_regions, region_coefficients,
-                      regions_from_members, save_regions)
+                      load_regions, region_coefficients, regions_from_members,
+                      save_regions)
 from .spectral import (DEFAULT_BASIS_SIZE, SpectralBasis, cotangent_laplacian,
                        eigenbasis, load_basis, project, save_basis, synthesize)
 

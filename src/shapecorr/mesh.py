@@ -3,11 +3,24 @@
 A :class:`Mesh` is immutable after construction: the vertex and triangle
 arrays are marked read-only and every derived quantity (areas, adjacency,
 edge lengths) is cached on first use, so instances can be shared freely
-between threads.
+between threads.  Construction and measures are whole-array numpy: the
+edges and their face counts come from one ``np.unique`` over integer edge
+keys, and vertex areas from one ``np.bincount``.
+
+The OFF and ASCII PLY readers find the content lines with one scan of the
+file's bytes and hand each element block to ``np.loadtxt``.  A block that
+is cut short or does not parse as one table is read again line by line,
+which raises the error that names the line and the element (and accepts
+what Python's ``int``/``float`` accept but numpy does not, such as
+``1_0``).  OBJ is read line by line.  The writers format each block with
+a single ``%`` call.  Arrays read and text written are the same, bit for
+bit, as those of the line-wise routes kept in ``tests/_oracles.py``.
 """
 
 from __future__ import annotations
 
+import io
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -31,6 +44,7 @@ __all__ = [
 
 # full round-trip precision for float64 text output
 _FLOAT_FMT = "%.17g"
+_VERTEX_FMT = " ".join([_FLOAT_FMT] * 3)
 
 _FORMATS = ("off", "obj", "ply")
 
@@ -106,12 +120,12 @@ class Mesh:
             face = int(np.flatnonzero(zero)[0])
             raise MeshValidationError(f"face {face} is degenerate (zero area)")
         # edge-manifold: every undirected edge belongs to at most two faces
-        edges = np.sort(self.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
-        uniq, counts = np.unique(edges, axis=0, return_counts=True)
+        counts = self._edge_counts[1]
         if (counts > 2).any():
-            i, j = uniq[np.argmax(counts > 2)]
+            bad = int(np.argmax(counts > 2))
+            i, j = self.edges[bad]
             raise MeshValidationError(
-                f"edge ({i}, {j}) is shared by {int(counts.max())} faces; "
+                f"edge ({i}, {j}) is shared by {int(counts[bad])} faces; "
                 "the mesh is not edge-manifold")
         n_comp, labels = csgraph.connected_components(self.adjacency, directed=False)
         if n_comp != 1:
@@ -133,21 +147,28 @@ class Mesh:
     @cached_property
     def vertex_areas(self):
         """Lumped vertex areas: one third of each incident face area."""
-        va = np.zeros(self.num_vertices)
+        # corner 0 of every face, then corner 1, then corner 2
         third = self.triangle_areas / 3.0
-        for c in range(3):
-            np.add.at(va, self.triangles[:, c], third)
-        return va
+        return np.bincount(self.triangles.T.ravel(), weights=np.tile(third, 3),
+                           minlength=self.num_vertices)
 
     @cached_property
     def total_area(self):
         return float(self.triangle_areas.sum())
 
     @cached_property
+    def _edge_counts(self):
+        """Keys i*m + j of the undirected edges (i < j), sorted, and how
+        many faces hold each; key order is the lexicographic pair order."""
+        t = self.triangles
+        t2 = t[:, [1, 2, 0]]
+        keys = np.minimum(t, t2) * self.num_vertices + np.maximum(t, t2)
+        return np.unique(keys.ravel(), return_counts=True)
+
+    @cached_property
     def edges(self):
         """Unique undirected edges as sorted index pairs, shape (e, 2)."""
-        e = np.sort(self.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
-        return np.unique(e, axis=0)
+        return np.column_stack(np.divmod(self._edge_counts[0], self.num_vertices))
 
     @cached_property
     def adjacency(self):
@@ -283,19 +304,135 @@ def read_ply(path):
     return _parse_ply(Path(path).read_text())
 
 
-def _content_lines(text):
-    """Strip comments and blanks; yield (lineno, tokens)."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
+# Besides "\n" and "\r", str.splitlines() ends a line at each of these,
+# and str.split() takes the second set for blanks.  Mapped to "\n" and " ",
+# they leave a byte scan with the lines and tokens the line-wise grammar
+# sees.  _RARE flags the bytes that call for that mapping.
+_LINE_BREAKS = re.compile("[\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+_OTHER_BLANKS = re.compile("[\x1f\xa0\u1680\u2000-\u200a\u202f\u205f\u3000]")
+_RARE = np.zeros(256, dtype=bool)
+_RARE[[0x0b, 0x0c, 0x1c, 0x1d, 0x1e, 0x1f]] = True
+_RARE[0x80:] = True  # any non-ASCII text
+_BLANK = np.zeros(256, dtype=bool)
+_BLANK[[ord("\t"), ord(" ")]] = True
+
+
+class _Lines:
+    """The content lines of a mesh file, found by one scan of its bytes.
+
+    A content line holds a non-blank character and does not begin, after
+    its leading blanks, with ``skip``.  Header lines are taken one at a
+    time.  An element block goes to ``np.loadtxt`` as one slice; when the
+    file ends inside it or it does not parse as one table, ``rescan``
+    walks that block line by line so the format's own error is raised.
+    """
+
+    def __init__(self, text, skip, comments=None):
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        self.data = text.encode()
+        self.buf = np.frombuffer(self.data, dtype=np.uint8)
+        if _RARE[self.buf].any():
+            text = _OTHER_BLANKS.sub(" ", _LINE_BREAKS.sub("\n", text))
+            self.data = text.encode()
+            self.buf = np.frombuffer(self.data, dtype=np.uint8)
+        self.skip = skip
+        self.comments = comments
+        breaks = np.flatnonzero(self.buf == ord("\n"))
+        starts = np.concatenate(([0], breaks + 1))
+        ends = np.append(breaks, len(self.buf))
+        first = starts.copy()  # first non-blank byte of each line
+        todo = np.flatnonzero(first < ends)
+        while len(todo):
+            todo = todo[_BLANK[self.buf[first[todo]]]]
+            first[todo] += 1
+            todo = todo[first[todo] < ends[todo]]
+        content = np.flatnonzero((first < ends) & ~self._starts_with(first, ends, skip))
+        self.lineno = content + 1
+        self.first = first[content]
+        self.ends = ends[content]
+        self.next = 0  # index of the next unread content line
+        self.block = (0, 0, 0)  # (first content line, count asked, count present)
+
+    def _advance(self, count):
+        """Step over up to ``count`` content lines; return how many there were."""
+        present = max(0, min(count, len(self.lineno) - self.next))
+        self.next += present
+        return present
+
+    def _text(self, lo, hi):
+        return self.data[lo:hi].decode()
+
+    def take(self, what):
+        """Next content line as (lineno, text without surrounding blanks)."""
+        k = self.next
+        if k == len(self.lineno):
+            raise MeshParseError(f"unexpected end of file while reading {what}")
+        self.next += 1
+        return int(self.lineno[k]), self._text(self.first[k], self.ends[k]).rstrip()
+
+    def skip_block(self, count, what):
+        """Pass over ``count`` content lines, which must all be there."""
+        present = self._advance(count)
+        if present < count:
+            raise MeshParseError(f"unexpected end of file while reading {what} {present}")
+
+    def table(self, count, dtype):
+        """Next ``count`` content lines as one (count, columns) array.
+
+        None when the file ends first or the lines do not parse as one
+        table of ``dtype``; ``rescan`` then reads the same lines.
+        """
+        k = self.next
+        present = self._advance(count)
+        self.block = (k, count, present)
+        if present == 0 or present < count:
+            return None
+        chunk = io.BytesIO(self.data[self.first[k]:self.ends[k + count - 1]])
+        try:
+            return np.loadtxt(chunk, dtype=dtype, comments=self.comments, ndmin=2)
+        except ValueError:
+            return None
+
+    def _starts_with(self, first, ends, prefix):
+        """Which of the spans ``first:ends`` of the bytes begin with ``prefix``."""
+        hit = np.ones(len(first), dtype=bool)
+        for j, char in enumerate(prefix.encode()):
+            hit &= first + j < ends
+            hit[hit] = self.buf[first[hit] + j] == char
+        return hit
+
+    def leading_token_is(self, token):
+        """Whether every line of the last table starts with ``token`` alone."""
+        k, _, present = self.block
+        first, ends = self.first[k:k + present], self.ends[k:k + present]
+        after = first + len(token)
+        hit = self._starts_with(first, ends, token) & (after < ends)
+        hit[hit] = _BLANK[self.buf[after[hit]]]
+        return bool(hit.all())
+
+    def rescan(self, what):
+        """Yield (i, lineno, tokens) over the last table's lines, line by line.
+
+        Raises the end-of-file error after them when the file ended inside
+        the block.
+        """
+        k, count, present = self.block
+        if present:
+            text = self._text(self.first[k], self.ends[k + present - 1])
+            lines = _content_lines(text, int(self.lineno[k]), self.comments, self.skip)
+            for i, (lineno, tokens) in enumerate(lines):
+                yield i, lineno, tokens
+        if present < count:
+            raise MeshParseError(f"unexpected end of file while reading {what} {present}")
+
+
+def _content_lines(text, start=1, comments="#", skip=None):
+    """Strip comments and blanks, and lines led by ``skip``; yield (lineno, tokens)."""
+    for lineno, raw in enumerate(text.splitlines(), start=start):
+        line = (raw.split(comments, 1)[0] if comments else raw).strip()
+        if line and not (skip and line.startswith(skip)):
             yield lineno, line.split()
-
-
-def _take(lines, what):
-    try:
-        return next(lines)
-    except StopIteration:
-        raise MeshParseError(f"unexpected end of file while reading {what}") from None
 
 
 def _floats(tokens, count, lineno, what):
@@ -308,36 +445,49 @@ def _floats(tokens, count, lineno, what):
         raise MeshParseError(f"line {lineno}: bad number in {what}: {exc}") from None
 
 
+def _face(tokens, lineno, i):
+    if len(tokens) != 4 or tokens[0] != "3":
+        raise MeshParseError(
+            f"line {lineno}: face {i} must be '3 i j k' (triangles only)")
+    try:
+        return [int(t) for t in tokens[1:]]
+    except ValueError:
+        raise MeshParseError(f"line {lineno}: non-integer index in face {i}") from None
+
+
+def _faces(lines, count):
+    rows = lines.table(count, np.int64)
+    if rows is not None and rows.shape[1] == 4 and lines.leading_token_is("3"):
+        return np.ascontiguousarray(rows[:, 1:])
+    tris = np.empty((count, 3), dtype=np.int64)
+    for i, lineno, tokens in lines.rescan("face"):
+        tris[i] = _face(tokens, lineno, i)
+    return tris
+
+
 def _parse_off(text):
-    lines = _content_lines(text)
-    lineno, tokens = _take(lines, "OFF header")
+    lines = _Lines(text, skip="#", comments="#")
+    lineno, header = lines.take("OFF header")
+    tokens = header.split("#", 1)[0].split()
     if tokens[0].upper() != "OFF":
         raise MeshParseError(f"line {lineno}: missing OFF header")
     if len(tokens) > 1:
         counts = tokens[1:]
     else:
-        lineno, counts = _take(lines, "OFF element counts")
+        lineno, header = lines.take("OFF element counts")
+        counts = header.split("#", 1)[0].split()
     if len(counts) not in (2, 3):
         raise MeshParseError(f"line {lineno}: expected 'nv nf [ne]' counts")
     try:
         nv, nf = int(counts[0]), int(counts[1])
     except ValueError:
         raise MeshParseError(f"line {lineno}: non-integer element count") from None
-    verts = np.empty((nv, 3))
-    for i in range(nv):
-        lineno, tokens = _take(lines, f"vertex {i}")
-        verts[i] = _floats(tokens, 3, lineno, f"vertex {i}")
-    tris = np.empty((nf, 3), dtype=np.int64)
-    for i in range(nf):
-        lineno, tokens = _take(lines, f"face {i}")
-        if len(tokens) != 4 or tokens[0] != "3":
-            raise MeshParseError(
-                f"line {lineno}: face {i} must be '3 i j k' (triangles only)")
-        try:
-            tris[i] = [int(t) for t in tokens[1:]]
-        except ValueError:
-            raise MeshParseError(f"line {lineno}: non-integer index in face {i}") from None
-    return verts, tris
+    verts = lines.table(nv, np.float64)
+    if verts is None or verts.shape[1] != 3:
+        verts = np.empty((nv, 3))
+        for i, lineno, tokens in lines.rescan("vertex"):
+            verts[i] = _floats(tokens, 3, lineno, f"vertex {i}")
+    return verts, _faces(lines, nf)
 
 
 def _parse_obj(text):
@@ -371,21 +521,13 @@ def _parse_obj(text):
 
 
 def _parse_ply(text):
-    lines = iter(enumerate(text.splitlines(), start=1))
-
-    def next_line(what):
-        for lineno, raw in lines:
-            stripped = raw.strip()
-            if stripped and not stripped.startswith("comment"):
-                return lineno, stripped
-        raise MeshParseError(f"unexpected end of file while reading {what}")
-
-    lineno, magic = next_line("PLY magic")
+    lines = _Lines(text, skip="comment")
+    lineno, magic = lines.take("PLY magic")
     if magic != "ply":
         raise MeshParseError(f"line {lineno}: not a PLY file (missing 'ply' magic)")
     elements = []  # (name, count, [property names])
     while True:
-        lineno, line = next_line("PLY header")
+        lineno, line = lines.take("PLY header")
         tokens = line.split()
         if tokens[0] == "format":
             if tokens[1] != "ascii":
@@ -408,51 +550,53 @@ def _parse_ply(text):
     verts = tris = colors = None
     for name, count, props in elements:
         if name == "vertex":
-            for axis in ("x", "y", "z"):
-                if axis not in props:
-                    raise MeshParseError(f"PLY vertex element lacks property {axis!r}")
-            cols = [props.index(a) for a in ("x", "y", "z")]
-            has_rgb = all(c in props for c in ("red", "green", "blue"))
-            rgb_cols = [props.index(c) for c in ("red", "green", "blue")] if has_rgb else None
-            verts = np.empty((count, 3))
-            colors = np.empty((count, 3), dtype=np.uint8) if has_rgb else None
-            for i in range(count):
-                lineno, line = next_line(f"vertex {i}")
-                values = _floats(line.split(), len(props), lineno, f"vertex {i}")
-                verts[i] = [values[c] for c in cols]
-                if has_rgb:
-                    colors[i] = [int(values[c]) for c in rgb_cols]
+            verts, colors = _ply_vertices(lines, count, props)
         elif name == "face":
-            tris = np.empty((count, 3), dtype=np.int64)
-            for i in range(count):
-                lineno, line = next_line(f"face {i}")
-                tokens = line.split()
-                if len(tokens) != 4 or tokens[0] != "3":
-                    raise MeshParseError(
-                        f"line {lineno}: face {i} must be '3 i j k' (triangles only)")
-                try:
-                    tris[i] = [int(t) for t in tokens[1:]]
-                except ValueError:
-                    raise MeshParseError(
-                        f"line {lineno}: non-integer index in face {i}") from None
+            tris = _faces(lines, count)
         else:
-            for i in range(count):  # skip unknown elements
-                next_line(f"{name} {i}")
+            lines.skip_block(count, name)
     return verts, tris, colors
 
 
+def _ply_vertices(lines, count, props):
+    for axis in ("x", "y", "z"):
+        if axis not in props:
+            raise MeshParseError(f"PLY vertex element lacks property {axis!r}")
+    cols = [props.index(a) for a in ("x", "y", "z")]
+    has_rgb = all(c in props for c in ("red", "green", "blue"))
+    rgb_cols = [props.index(c) for c in ("red", "green", "blue")] if has_rgb else None
+    values = lines.table(count, np.float64)
+    if values is not None and values.shape[1] == len(props):
+        if not has_rgb:
+            return values[:, cols], None
+        rgb = values[:, rgb_cols]
+        # int() truncates toward zero, so (-1, 256) is what fits uint8
+        if ((rgb > -1) & (rgb < 256)).all():
+            return values[:, cols], rgb.astype(np.uint8)
+    verts = np.empty((count, 3))
+    colors = np.empty((count, 3), dtype=np.uint8) if has_rgb else None
+    for i, lineno, tokens in lines.rescan("vertex"):
+        row = _floats(tokens, len(props), lineno, f"vertex {i}")
+        verts[i] = [row[c] for c in cols]
+        if has_rgb:
+            colors[i] = [int(row[c]) for c in rgb_cols]
+    return verts, colors
+
+
+def _format_rows(fmt, rows):
+    """One ``fmt % row`` line per row of a 2-d array, in a single format call."""
+    return ((fmt + "\n") * len(rows)) % tuple(np.ravel(rows).tolist())
+
+
 def _emit_off(mesh):
-    out = ["OFF", f"{mesh.num_vertices} {mesh.num_triangles} {len(mesh.edges)}"]
-    out.extend(" ".join(_FLOAT_FMT % c for c in v) for v in mesh.vertices)
-    out.extend(f"3 {t[0]} {t[1]} {t[2]}" for t in mesh.triangles)
-    return "\n".join(out) + "\n"
+    return (f"OFF\n{mesh.num_vertices} {mesh.num_triangles} {len(mesh.edges)}\n"
+            + _format_rows(_VERTEX_FMT, mesh.vertices)
+            + _format_rows("3 %d %d %d", mesh.triangles))
 
 
 def _emit_obj(mesh):
-    out = [f"v {_FLOAT_FMT % v[0]} {_FLOAT_FMT % v[1]} {_FLOAT_FMT % v[2]}"
-           for v in mesh.vertices]
-    out.extend(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}" for t in mesh.triangles)
-    return "\n".join(out) + "\n"
+    return (_format_rows("v " + _VERTEX_FMT, mesh.vertices)
+            + _format_rows("f %d %d %d", mesh.triangles + 1))
 
 
 def _emit_ply(mesh, colors=None):
@@ -473,18 +617,16 @@ def _emit_ply(mesh, colors=None):
         "property float64 y",
         "property float64 z",
     ]
-    if colors is not None:
+    if colors is None:
+        vertices = _format_rows(_VERTEX_FMT, mesh.vertices)
+    else:
         header += ["property uchar red", "property uchar green", "property uchar blue"]
+        # uint8 channels are exact in float64 and print the same under %d
+        vertices = _format_rows(_VERTEX_FMT + " %d %d %d",
+                                np.hstack([mesh.vertices, colors]))
     header += [
         f"element face {mesh.num_triangles}",
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    out = header
-    for i, v in enumerate(mesh.vertices):
-        line = " ".join(_FLOAT_FMT % c for c in v)
-        if colors is not None:
-            line += f" {colors[i, 0]} {colors[i, 1]} {colors[i, 2]}"
-        out.append(line)
-    out.extend(f"3 {t[0]} {t[1]} {t[2]}" for t in mesh.triangles)
-    return "\n".join(out) + "\n"
+    return "\n".join(header) + "\n" + vertices + _format_rows("3 %d %d %d", mesh.triangles)

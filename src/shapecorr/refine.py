@@ -14,7 +14,9 @@ decides the rest over the few rows inside the margin.
 
 from __future__ import annotations
 
+import io
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -231,8 +233,7 @@ def refine_icp(basis_x, basis_y, initial_map, max_iters=30):
 
 def save_point_map(point_map, path):
     """One target vertex index per line, line i for source vertex i."""
-    Path(path).write_text(
-        "\n".join(str(int(i)) for i in point_map.indices) + "\n")
+    Path(path).write_text("\n".join(map(str, point_map.indices.tolist())) + "\n")
 
 
 def load_point_map(path, num_targets=None):
@@ -240,18 +241,28 @@ def load_point_map(path, num_targets=None):
 
     When ``num_targets`` is given, indices are validated against it.
     """
-    indices = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    text = Path(path).read_text()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the empty file is reported below
         try:
-            indices.append(int(line))
+            arr = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: expected a vertex index") from None
-    if not indices:
-        raise ValueError(f"{path}: empty point map")
-    arr = np.array(indices, dtype=np.int64)
+            arr = np.empty((0, 0), dtype=np.int64)
+    if len(arr) and arr.shape[1] == 1:
+        arr = arr[:, 0]
+    else:  # line by line, to name the offending line
+        indices = []
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                indices.append(int(line))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected a vertex index") from None
+        if not indices:
+            raise ValueError(f"{path}: empty point map")
+        arr = np.array(indices, dtype=np.int64)
     if num_targets is not None and arr.max() >= num_targets:
         raise ValueError(
             f"{path}: index {arr.max()} out of range for {num_targets} vertices")

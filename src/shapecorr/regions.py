@@ -32,7 +32,6 @@ __all__ = [
     "DetectorParams",
     "detect_stable_regions",
     "regions_from_members",
-    "filter_by_area",
     "region_coefficients",
     "save_regions",
     "load_regions",
@@ -115,12 +114,21 @@ class RegionSet:
 
     def connected_flags(self, mesh):
         """Whether each region is vertex-connected on the mesh graph."""
-        flags = np.empty(len(self), dtype=bool)
-        for i, row in enumerate(self.members):
-            sub = mesh.adjacency[row][:, row]
-            n_comp, _ = csgraph.connected_components(sub, directed=False)
-            flags[i] = n_comp == 1
-        return flags
+        # one graph with a block per region, its induced subgraph: node k
+        # is the k-th (region, vertex) pair of the members in row order
+        m = self.num_vertices
+        region, vertex = np.nonzero(self.members)
+        keys = region * m + vertex
+        e = mesh.edges
+        r, k = np.nonzero(self.members[:, e[:, 0]] & self.members[:, e[:, 1]])
+        a = np.searchsorted(keys, r * m + e[k, 0])
+        b = np.searchsorted(keys, r * m + e[k, 1])
+        n = len(keys)
+        graph = sparse.csr_matrix((np.ones(len(a), dtype=np.int8), (a, b)), shape=(n, n))
+        _, labels = csgraph.connected_components(graph, directed=False)
+        # no component spans two regions: count each region's components
+        first = np.unique(labels, return_index=True)[1]
+        return np.bincount(region[first], minlength=len(self)) == 1
 
 
 def regions_from_members(members, mesh):
@@ -324,16 +332,6 @@ def _merge_sweep(edges, vertex_level, rank, levels):
     return changes, died, np.array(order, dtype=np.int64)
 
 
-def filter_by_area(regions, min_area_frac=0.05):
-    """Drop regions below the given fraction of total surface area."""
-    keep = np.flatnonzero(regions.area_fractions >= min_area_frac)
-    if len(keep) == 0:
-        raise ValueError(
-            f"no region has area fraction >= {min_area_frac}; largest is "
-            f"{regions.area_fractions.max():.4f}")
-    return regions.subset(keep)
-
-
 def region_coefficients(regions, basis):
     """Stack of basis coefficients of each region indicator, shape (q, n)."""
     if regions.num_vertices != basis.num_vertices:
@@ -347,7 +345,7 @@ def save_regions(regions, path):
     """Write one region per line as space-separated vertex indices."""
     lines = ["# one region per line: vertex indices"]
     for row in regions.members:
-        lines.append(" ".join(str(i) for i in np.flatnonzero(row)))
+        lines.append(" ".join(map(str, np.flatnonzero(row).tolist())))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -363,7 +361,7 @@ def load_regions(path, mesh):
         if not line:
             continue
         try:
-            indices = np.unique(np.array([int(t) for t in line.split()], dtype=np.int64))
+            indices = np.unique(np.array(line.split(), dtype=np.int64))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad vertex index: {exc}") from None
         if len(indices) == 0:

@@ -120,7 +120,6 @@ def cotangent_laplacian(mesh):
     m = mesh.num_vertices
 
     rows, cols, vals = [], [], []
-    diag = np.zeros(m)
     for corner in range(3):
         k = tris[:, corner]
         i = tris[:, (corner + 1) % 3]
@@ -138,14 +137,12 @@ def cotangent_laplacian(mesh):
             raise MeshValidationError(
                 f"face {face} is numerically degenerate (cotangent overflow)")
         w = 0.5 * cot
-        rows.append(i)
-        cols.append(j)
-        vals.append(-w)
-        rows.append(j)
-        cols.append(i)
-        vals.append(-w)
-        np.add.at(diag, i, w)
-        np.add.at(diag, j, w)
+        rows += [i, j]
+        cols += [j, i]
+        vals += [-w, -w]
+    # each vertex collects the weights of its off-diagonal entries, in the
+    # order they were emitted, so every row sums to zero
+    diag = np.bincount(np.concatenate(rows), weights=-np.concatenate(vals), minlength=m)
     rows.append(np.arange(m))
     cols.append(np.arange(m))
     vals.append(diag)

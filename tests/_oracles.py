@@ -6,6 +6,8 @@ import numpy as np
 from scipy import optimize
 from scipy.sparse import csgraph
 
+from shapecorr.mesh import MeshParseError
+
 
 def grid_prox_scalar(value, weight, step, spacing=1e-4):
     """Grid-search argmin of 1/2 (u - value)^2 + step * weight * |u|."""
@@ -202,3 +204,239 @@ def correspondence_error_dense(point_map, truth, mesh_y, diameter=None):
     sources, inverse = np.unique(expected, return_inverse=True)
     distances = geodesic_distance_matrix(mesh_y, sources)
     return distances[inverse, predicted] / diameter
+
+
+def connected_flags_per_region(regions, mesh):
+    """``RegionSet.connected_flags`` from one induced subgraph per region."""
+    flags = np.empty(len(regions), dtype=bool)
+    for i, row in enumerate(regions.members):
+        sub = mesh.adjacency[row][:, row]
+        n_comp, _ = csgraph.connected_components(sub, directed=False)
+        flags[i] = n_comp == 1
+    return flags
+
+
+def filter_by_area(regions, min_area_frac=0.05):
+    """Drop regions below the given fraction of total surface area."""
+    keep = np.flatnonzero(regions.area_fractions >= min_area_frac)
+    if len(keep) == 0:
+        raise ValueError(
+            f"no region has area fraction >= {min_area_frac}; largest is "
+            f"{regions.area_fractions.max():.4f}")
+    return regions.subset(keep)
+
+
+# -- line-wise mesh readers and writers ------------------------------------
+# ``parse_off`` and ``parse_ply`` have the contract of the package's
+# ``mesh._parse_off`` and ``mesh._parse_ply``: same arrays, same errors.
+# The writers have that of ``mesh._emit_off``/``_emit_obj``/``_emit_ply``.
+
+# full round-trip precision for float64 text output
+FLOAT_FMT = "%.17g"
+
+
+def _content_lines(text):
+    """Strip comments and blanks; yield (lineno, tokens)."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line.split()
+
+
+def _take(lines, what):
+    try:
+        return next(lines)
+    except StopIteration:
+        raise MeshParseError(f"unexpected end of file while reading {what}") from None
+
+
+def _floats(tokens, count, lineno, what):
+    if len(tokens) != count:
+        raise MeshParseError(
+            f"line {lineno}: expected {count} numbers for {what}, got {len(tokens)}")
+    try:
+        return [float(t) for t in tokens]
+    except ValueError as exc:
+        raise MeshParseError(f"line {lineno}: bad number in {what}: {exc}") from None
+
+
+def parse_off(text):
+    lines = _content_lines(text)
+    lineno, tokens = _take(lines, "OFF header")
+    if tokens[0].upper() != "OFF":
+        raise MeshParseError(f"line {lineno}: missing OFF header")
+    if len(tokens) > 1:
+        counts = tokens[1:]
+    else:
+        lineno, counts = _take(lines, "OFF element counts")
+    if len(counts) not in (2, 3):
+        raise MeshParseError(f"line {lineno}: expected 'nv nf [ne]' counts")
+    try:
+        nv, nf = int(counts[0]), int(counts[1])
+    except ValueError:
+        raise MeshParseError(f"line {lineno}: non-integer element count") from None
+    verts = np.empty((nv, 3))
+    for i in range(nv):
+        lineno, tokens = _take(lines, f"vertex {i}")
+        verts[i] = _floats(tokens, 3, lineno, f"vertex {i}")
+    tris = np.empty((nf, 3), dtype=np.int64)
+    for i in range(nf):
+        lineno, tokens = _take(lines, f"face {i}")
+        if len(tokens) != 4 or tokens[0] != "3":
+            raise MeshParseError(
+                f"line {lineno}: face {i} must be '3 i j k' (triangles only)")
+        try:
+            tris[i] = [int(t) for t in tokens[1:]]
+        except ValueError:
+            raise MeshParseError(f"line {lineno}: non-integer index in face {i}") from None
+    return verts, tris
+
+
+def parse_ply(text):
+    lines = iter(enumerate(text.splitlines(), start=1))
+
+    def next_line(what):
+        for lineno, raw in lines:
+            stripped = raw.strip()
+            if stripped and not stripped.startswith("comment"):
+                return lineno, stripped
+        raise MeshParseError(f"unexpected end of file while reading {what}")
+
+    lineno, magic = next_line("PLY magic")
+    if magic != "ply":
+        raise MeshParseError(f"line {lineno}: not a PLY file (missing 'ply' magic)")
+    elements = []  # (name, count, [property names])
+    while True:
+        lineno, line = next_line("PLY header")
+        tokens = line.split()
+        if tokens[0] == "format":
+            if tokens[1] != "ascii":
+                raise MeshParseError(
+                    f"line {lineno}: only ASCII PLY is supported, got {tokens[1]!r}")
+        elif tokens[0] == "element":
+            elements.append((tokens[1], int(tokens[2]), []))
+        elif tokens[0] == "property":
+            if not elements:
+                raise MeshParseError(f"line {lineno}: property before any element")
+            elements[-1][2].append(tokens[-1])
+        elif tokens[0] == "end_header":
+            break
+        else:
+            raise MeshParseError(f"line {lineno}: unrecognized header line {line!r}")
+    names = [e[0] for e in elements]
+    if "vertex" not in names or "face" not in names:
+        raise MeshParseError("PLY header must declare vertex and face elements")
+
+    verts = tris = colors = None
+    for name, count, props in elements:
+        if name == "vertex":
+            for axis in ("x", "y", "z"):
+                if axis not in props:
+                    raise MeshParseError(f"PLY vertex element lacks property {axis!r}")
+            cols = [props.index(a) for a in ("x", "y", "z")]
+            has_rgb = all(c in props for c in ("red", "green", "blue"))
+            rgb_cols = [props.index(c) for c in ("red", "green", "blue")] if has_rgb else None
+            verts = np.empty((count, 3))
+            colors = np.empty((count, 3), dtype=np.uint8) if has_rgb else None
+            for i in range(count):
+                lineno, line = next_line(f"vertex {i}")
+                values = _floats(line.split(), len(props), lineno, f"vertex {i}")
+                verts[i] = [values[c] for c in cols]
+                if has_rgb:
+                    colors[i] = [int(values[c]) for c in rgb_cols]
+        elif name == "face":
+            tris = np.empty((count, 3), dtype=np.int64)
+            for i in range(count):
+                lineno, line = next_line(f"face {i}")
+                tokens = line.split()
+                if len(tokens) != 4 or tokens[0] != "3":
+                    raise MeshParseError(
+                        f"line {lineno}: face {i} must be '3 i j k' (triangles only)")
+                try:
+                    tris[i] = [int(t) for t in tokens[1:]]
+                except ValueError:
+                    raise MeshParseError(
+                        f"line {lineno}: non-integer index in face {i}") from None
+        else:
+            for i in range(count):  # skip unknown elements
+                next_line(f"{name} {i}")
+    return verts, tris, colors
+
+
+def emit_off(mesh):
+    out = ["OFF", f"{mesh.num_vertices} {mesh.num_triangles} {len(mesh.edges)}"]
+    out.extend(" ".join(FLOAT_FMT % c for c in v) for v in mesh.vertices)
+    out.extend(f"3 {t[0]} {t[1]} {t[2]}" for t in mesh.triangles)
+    return "\n".join(out) + "\n"
+
+
+def emit_obj(mesh):
+    out = [f"v {FLOAT_FMT % v[0]} {FLOAT_FMT % v[1]} {FLOAT_FMT % v[2]}"
+           for v in mesh.vertices]
+    out.extend(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}" for t in mesh.triangles)
+    return "\n".join(out) + "\n"
+
+
+def emit_ply(mesh, colors=None):
+    if colors is not None:
+        colors = np.asarray(colors)
+        if colors.shape != (mesh.num_vertices, 3):
+            raise ValueError(
+                f"colors must have shape ({mesh.num_vertices}, 3), got {colors.shape}")
+        if colors.dtype != np.uint8:
+            if colors.min() < 0 or colors.max() > 255:
+                raise ValueError("colors must be 8-bit values in [0, 255]")
+            colors = colors.astype(np.uint8)
+    header = [
+        "ply",
+        "format ascii 1.0",
+        f"element vertex {mesh.num_vertices}",
+        "property float64 x",
+        "property float64 y",
+        "property float64 z",
+    ]
+    if colors is not None:
+        header += ["property uchar red", "property uchar green", "property uchar blue"]
+    header += [
+        f"element face {mesh.num_triangles}",
+        "property list uchar int vertex_indices",
+        "end_header",
+    ]
+    out = header
+    for i, v in enumerate(mesh.vertices):
+        line = " ".join(FLOAT_FMT % c for c in v)
+        if colors is not None:
+            line += f" {colors[i, 0]} {colors[i, 1]} {colors[i, 2]}"
+        out.append(line)
+    out.extend(f"3 {t[0]} {t[1]} {t[2]}" for t in mesh.triangles)
+    return "\n".join(out) + "\n"
+
+
+def vertex_areas_add_at(mesh):
+    """Lumped vertex areas accumulated with ``np.add.at``, corner by corner."""
+    va = np.zeros(mesh.num_vertices)
+    third = mesh.triangle_areas / 3.0
+    for c in range(3):
+        np.add.at(va, mesh.triangles[:, c], third)
+    return va
+
+
+def cotangent_diagonal_add_at(mesh):
+    """Diagonal of the cotangent stiffness accumulated with ``np.add.at``.
+
+    Per corner k of every face, the weight cot(k)/2 goes to the two other
+    vertices i then j, corner 0 first.
+    """
+    v, tris = mesh.vertices, mesh.triangles
+    diag = np.zeros(mesh.num_vertices)
+    for corner in range(3):
+        k = tris[:, corner]
+        i = tris[:, (corner + 1) % 3]
+        j = tris[:, (corner + 2) % 3]
+        e1 = v[i] - v[k]
+        e2 = v[j] - v[k]
+        cot = np.einsum("ij,ij->i", e1, e2) / np.linalg.norm(np.cross(e1, e2), axis=1)
+        w = 0.5 * cot
+        np.add.at(diag, i, w)
+        np.add.at(diag, j, w)
+    return diag

@@ -1,9 +1,12 @@
 """Mesh construction, measures, geodesics, and the three file formats."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import _meshes
+import _oracles
 from shapecorr import (
     Mesh,
     MeshParseError,
@@ -15,8 +18,26 @@ from shapecorr import (
     save_mesh,
     shape_diameter,
 )
+from shapecorr import mesh as mesh_module
 
 V3 = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+@pytest.fixture(scope="module")
+def creature_5k():
+    return _meshes.creature_5k()
+
+
+# the meshes every add.at, edge and writer parity check runs on
+PARITY_MESHES = {"blob1": lambda: _meshes.blob(1), "blob2": lambda: _meshes.blob(2),
+                 "creature4": lambda: _meshes.creature(4)}
+
+
+@pytest.fixture(scope="module", params=[*PARITY_MESHES, "creature_5k"])
+def parity_mesh(request):
+    if request.param == "creature_5k":
+        return request.getfixturevalue("creature_5k")
+    return PARITY_MESHES[request.param]()
 
 
 class TestValidation:
@@ -62,6 +83,15 @@ class TestValidation:
         with pytest.raises(MeshValidationError, match=r"edge \(0, 1\).*3 faces"):
             Mesh(v, t)
 
+    def test_non_manifold_count_is_the_named_edges(self):
+        # edge (5, 6) is shared by 4 faces, the named edge (0, 1) by 3
+        v = np.random.default_rng(3).standard_normal((10, 3))
+        t = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4],
+                      [5, 6, 7], [5, 6, 8], [5, 6, 9], [5, 6, 2]])
+        with pytest.raises(MeshValidationError,
+                           match=r"edge \(0, 1\) is shared by 3 faces"):
+            Mesh(v, t)
+
     def test_disconnected_named(self):
         v = np.vstack([V3, V3 + [10.0, 0.0, 0.0]])
         t = np.array([[0, 1, 2], [3, 4, 5]])
@@ -102,6 +132,17 @@ class TestMeasures:
         assert len(tetra.edges) == 6
         assert len(ico.edges) == 30  # V - E + F = 2
         assert (ico.edges[:, 0] < ico.edges[:, 1]).all()
+
+    def test_vertex_areas_match_add_at(self, parity_mesh):
+        assert np.array_equal(parity_mesh.vertex_areas,
+                              _oracles.vertex_areas_add_at(parity_mesh))
+
+    def test_edges_match_unique_rows(self, parity_mesh):
+        t = parity_mesh.triangles
+        pairs = np.sort(t[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
+        expected = np.unique(pairs, axis=0)
+        assert parity_mesh.edges.dtype == expected.dtype
+        assert np.array_equal(parity_mesh.edges, expected)
 
     def test_adjacency_symmetric(self, ico):
         a = ico.adjacency
@@ -278,3 +319,192 @@ class TestFormats:
         path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 5\n")
         with pytest.raises(MeshValidationError, match="face 0 references vertex 5"):
             load_mesh(path)
+
+
+def _vertex_colors(mesh):
+    return (np.arange(3 * mesh.num_vertices) * 37 % 256).astype(np.uint8).reshape(-1, 3)
+
+
+class TestWriterParity:
+    """save_mesh writes the line-wise writers' text byte for byte."""
+
+    @pytest.mark.parametrize("fmt,oracle", [
+        ("off", _oracles.emit_off), ("obj", _oracles.emit_obj), ("ply", _oracles.emit_ply),
+    ])
+    def test_plain(self, parity_mesh, tmp_path, fmt, oracle):
+        path = tmp_path / f"m.{fmt}"
+        save_mesh(parity_mesh, path)
+        assert path.read_bytes() == oracle(parity_mesh).encode()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_ply_colors(self, parity_mesh, tmp_path, dtype):
+        colors = _vertex_colors(parity_mesh).astype(dtype)
+        path = tmp_path / "m.ply"
+        save_mesh(parity_mesh, path, colors=colors)
+        assert path.read_bytes() == _oracles.emit_ply(parity_mesh, colors).encode()
+
+
+TRI = "0 0 0\n1 0 0\n0 1 0\n"
+
+# files both readers accept: (format, text)
+ACCEPTED_TEXTS = {
+    "off-comments": ("off", "# lead\nOFF # kind\n3 1 0 # counts\n# mid\n0 0 0 # v0\n"
+                            "1 0 0\n0 1 0\n# before faces\n3 0 1 2 # f0\n# tail\n"),
+    "off-blanks-header-counts": ("off", "\nOFF 3 1 0\n\n0 0 0\n \t\n1 0 0\n\n0 1 0\n\n3 0 1 2\n\n"),
+    "off-crlf": ("off", "OFF\r\n3 1 0\r\n0 0 0\r\n1 0 0\r\n0 1 0\r\n3 0 1 2\r\n"),
+    "off-cr-and-formfeed": ("off", "OFF\r3 1 0\r0 0 0\x0c1 0 0\x0b0 1 0\r3 0 1 2"),
+    "off-signs-inf-nan": ("off", "OFF\n3 1 0\n+2 -0 1e-3\ninf -inf nan\n-Infinity 1E+2 .5\n"
+                                 "3 +0 1 +2\n"),
+    "off-trailing-lines": ("off", f"OFF\n3 1 0\n{TRI}3 0 1 2\nnot a face\n4 0 1 2 3\n"),
+    "off-indented-no-final-newline": ("off", "  off\n\t3 1\n  0 0 0\n\t1 0 0\n 0 1 0\n  3 0 1 2"),
+    "off-non-ascii-comment": ("off", "OFF\n# caf\u00e9 \u2603\n3 1 0\n0 0 0 # \u00e9\n"
+                                     "1 0 0\n0 1 0\n3 0 1 2\n"),
+    "off-non-ascii-blanks": ("off", "OFF\n3 1 0\n0\u00a00 0\n1 0 0\n\u3000\n0 1 0\x1f\n"
+                                    "3 0 1 2\u2028\n"),
+    "off-underscores": ("off", "OFF\n3 1 0\n1_0 0 0\n1 0 0\n0 1 0\n3 0 1_0 2\n"),
+    "off-no-faces": ("off", f"OFF\n3 0 0\n{TRI}"),
+    "ply-extra-properties": ("ply", "ply\nformat ascii 1.0\ncomment made by hand\n"
+                                    "element vertex 3\nproperty float nx\nproperty float z\n"
+                                    "property float x\nproperty float y\n"
+                                    "property uchar red\nproperty uchar green\n"
+                                    "property uchar blue\nproperty uchar alpha\n"
+                                    "element face 1\nproperty list uchar int vertex_indices\n"
+                                    "end_header\n1 0 0 0 255 0 0 9\n1 0 1 0 0 255.7 0 9\n"
+                                    "1 0 0 1 -0.5 0 255 9\n3 0 1 2\n"),
+    "ply-unknown-elements": ("ply", "ply\nformat ascii 1.0\nelement material 2\n"
+                                    "property float shine\nelement vertex 3\n"
+                                    "property float x\nproperty float y\nproperty float z\n"
+                                    "element edge 2\nproperty int a\nproperty int b\n"
+                                    "element face 1\nproperty list uchar int vertex_indices\n"
+                                    "element tail 1\nproperty float t\nend_header\n"
+                                    f"0.5\n1 2 3 4 5\n{TRI}0 1\n1 2\n3 0 1 2\nanything\n"),
+    "ply-body-comments-crlf": ("ply", "ply\r\nformat ascii 1.0\r\nelement vertex 3\r\n"
+                                      "property float x\r\nproperty float y\r\n"
+                                      "property float z\r\nelement face 1\r\n"
+                                      "property list uchar int vertex_indices\r\n"
+                                      "end_header\r\n0 0 0\r\ncomment inside\r\n\r\n"
+                                      "1 0 0\r\n0 1 0\r\n 3 0 1 2\r\n"),
+}
+
+PLY_HEAD = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+            "property float y\nproperty float z\nelement face 1\n"
+            "property list uchar int vertex_indices\nend_header\n")
+PLY_RGB_HEAD = PLY_HEAD.replace("property float z\n", "property float z\nproperty uchar red\n"
+                                "property uchar green\nproperty uchar blue\n")
+
+# files both readers reject: (format, text)
+MALFORMED_TEXTS = {
+    "off-bad-float": ("off", "OFF\n3 1 0\n0 0 0\n1 0 x\n0 1 0\n3 0 1 2\n"),
+    "off-face-index-2.5": ("off", f"OFF\n3 1 0\n{TRI}3 0 1 2.5\n"),
+    "off-face-index-2.0": ("off", f"OFF\n3 1 0\n{TRI}3 0 1 2.0\n"),
+    "off-face-index-huge": ("off", f"OFF\n3 1 0\n{TRI}3 0 1 99999999999999999999\n"),
+    "off-vertex-2-numbers": ("off", "OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n"),
+    "off-vertex-4-numbers": ("off", "OFF\n3 1 0\n0 0 0\n1 0 0 1\n0 1 0\n3 0 1 2\n"),
+    "off-all-vertices-4-numbers": ("off", "OFF\n3 1 0\n0 0 0 1\n1 0 0 1\n0 1 0 1\n3 0 1 2\n"),
+    "off-face-led-by-4": ("off", f"OFF\n3 1 0\n{TRI}4 0 1 2 2\n"),
+    "off-face-led-by-03": ("off", f"OFF\n3 1 0\n{TRI}03 0 1 2\n"),
+    "off-face-led-by-+3": ("off", f"OFF\n3 1 0\n{TRI}+3 0 1 2\n"),
+    "off-face-3-tokens": ("off", f"OFF\n3 1 0\n{TRI}3 0 1\n"),
+    "off-face-only-3": ("off", f"OFF\n3 1 0\n{TRI}3\n"),
+    "off-ends-in-vertices": ("off", "OFF\n3 1 0\n0 0 0\n1 0 0\n"),
+    "off-ends-in-vertices-after-bad": ("off", "OFF\n3 1 0\n0 0 0\n1 0\n"),
+    "off-ends-in-faces": ("off", f"OFF\n3 2 0\n{TRI}3 0 1 2\n# no more\n"),
+    "off-empty": ("off", ""),
+    "off-only-comments": ("off", "# nothing\n\n"),
+    "off-no-header": ("off", f"3 1 0\n{TRI}3 0 1 2\n"),
+    "off-wrong-magic": ("off", f"NOFF\n3 1 0\n{TRI}3 0 1 2\n"),
+    "off-header-no-counts": ("off", "OFF\n"),
+    "off-non-integer-counts": ("off", f"OFF\n3.0 1 0\n{TRI}3 0 1 2\n"),
+    "off-counts-not-numbers": ("off", "OFF\nx y\n"),
+    "off-one-count": ("off", f"OFF\n3\n{TRI}"),
+    "off-negative-count": ("off", f"OFF\n-1 1 0\n{TRI}"),
+    "ply-no-magic": ("ply", "solid\n"),
+    "ply-binary": ("ply", "ply\nformat binary_little_endian 1.0\nend_header\n"),
+    "ply-unrecognized-header": ("ply", "ply\nformat ascii 1.0\nobj_info x\nend_header\n"),
+    "ply-property-first": ("ply", "ply\nformat ascii 1.0\nproperty float x\nend_header\n"),
+    "ply-header-ends": ("ply", "ply\nformat ascii 1.0\nelement vertex 3\n"),
+    "ply-non-integer-count": ("ply", "ply\nformat ascii 1.0\nelement vertex 3.5\nend_header\n"),
+    "ply-no-faces": ("ply", "ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+                            f"property float y\nproperty float z\nend_header\n{TRI}"),
+    "ply-vertex-lacks-z": ("ply", PLY_HEAD.replace("property float z\n", "") + TRI),
+    "ply-bad-float": ("ply", PLY_HEAD + "0 0 0\n1 0 x\n0 1 0\n3 0 1 2\n"),
+    "ply-hash-in-body": ("ply", PLY_HEAD + "0 0 0 # note\n1 0 0\n0 1 0\n3 0 1 2\n"),
+    "ply-vertex-2-numbers": ("ply", PLY_HEAD + "0 0 0\n1 0\n0 1 0\n3 0 1 2\n"),
+    "ply-face-index-2.0": ("ply", PLY_HEAD + TRI + "3 0 1 2.0\n"),
+    "ply-quad": ("ply", PLY_HEAD + TRI + "4 0 1 2 2\n"),
+    "ply-ends-in-vertices": ("ply", PLY_HEAD + "0 0 0\n"),
+    "ply-ends-in-faces": ("ply", PLY_HEAD + TRI),
+    "ply-ends-in-unknown": ("ply", PLY_HEAD.replace("end_header", "element extra 2\n"
+                                                    "property float e\nend_header")
+                            + TRI + "3 0 1 2\n0.5\n"),
+    "ply-color-300": ("ply", PLY_RGB_HEAD + "0 0 0 1 2 3\n1 0 0 300 0 0\n0 1 0 1 2 3\n3 0 1 2\n"),
+    "ply-color-nan": ("ply", PLY_RGB_HEAD + "0 0 0 1 2 3\n1 0 0 nan 0 0\n0 1 0 1 2 3\n3 0 1 2\n"),
+    "ply-color-negative": ("ply", PLY_RGB_HEAD + "0 0 0 -1 2 3\n1 0 0 0 0 0\n0 1 0 1 2 3\n"
+                                                 "3 0 1 2\n"),
+}
+
+READERS = {"off": (mesh_module._parse_off, _oracles.parse_off),
+           "ply": (mesh_module._parse_ply, _oracles.parse_ply)}
+
+
+def _assert_bit_equal(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        if b is None:
+            assert a is None
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class TestReaderParity:
+    """The array-speed OFF/PLY readers against the line-wise ones."""
+
+    @pytest.mark.parametrize("name", ACCEPTED_TEXTS)
+    def test_accepted(self, name):
+        fmt, text = ACCEPTED_TEXTS[name]
+        reader, oracle = READERS[fmt]
+        _assert_bit_equal(reader(text), oracle(text))
+
+    @pytest.mark.parametrize("name", MALFORMED_TEXTS)
+    def test_malformed(self, name):
+        fmt, text = MALFORMED_TEXTS[name]
+        reader, oracle = READERS[fmt]
+        with pytest.raises(Exception) as expected:
+            oracle(text)
+        with pytest.raises(type(expected.value)) as got:
+            reader(text)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+
+    def test_underscore_digits_still_parse(self):
+        # np.loadtxt rejects "1_0"; the line-wise rescan takes it as int()
+        # and float() do
+        verts, tris = mesh_module._parse_off(ACCEPTED_TEXTS["off-underscores"][1])
+        assert verts[0, 0] == 10.0
+        assert tris[0].tolist() == [0, 10, 2]
+
+    @pytest.mark.parametrize("fmt", ["off", "ply"])
+    def test_written_meshes(self, parity_mesh, tmp_path, fmt):
+        path = tmp_path / f"m.{fmt}"
+        colors = _vertex_colors(parity_mesh) if fmt == "ply" else None
+        save_mesh(parity_mesh, path, colors=colors)
+        reader, oracle = READERS[fmt]
+        text = path.read_text()
+        got = reader(text)
+        _assert_bit_equal(got, oracle(text))
+        assert got[0].tobytes() == parity_mesh.vertices.tobytes()
+        back = load_mesh(path)
+        assert np.array_equal(back.edges, parity_mesh.edges)
+
+    def test_reading_5k_off_peak_memory(self, creature_5k, tmp_path):
+        # per-token Python objects took the peak to 8.6 MB
+        path = tmp_path / "creature_5k.off"
+        save_mesh(creature_5k, path)
+        tracemalloc.start()
+        try:
+            load_mesh(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20

@@ -269,6 +269,26 @@ class TestIO:
         back = load_point_map(path)
         assert back.indices.tolist() == [2, 0, 1]
 
+    def test_written_text(self, tmp_path):
+        path = tmp_path / "map.txt"
+        save_point_map(PointMap(np.array([3, 10, 0, 42])), path)
+        assert path.read_text() == "3\n10\n0\n42\n"
+
+    def test_crlf_and_underscores(self, tmp_path):
+        # np.loadtxt rejects "1_0"; the line-wise pass reads it as int() does
+        path = tmp_path / "map.txt"
+        path.write_bytes(b"2\r\n0\r\n1_0\r\n")
+        assert load_point_map(path).indices.tolist() == [2, 0, 10]
+
+    def test_two_numbers_on_a_line(self, tmp_path):
+        path = tmp_path / "map.txt"
+        path.write_text("0\n1 2\n")
+        with pytest.raises(ValueError, match=r":2: expected a vertex index"):
+            load_point_map(path)
+        path.write_text("1 2\n")
+        with pytest.raises(ValueError, match=r":1: expected a vertex index"):
+            load_point_map(path)
+
     def test_bad_token(self, tmp_path):
         path = tmp_path / "map.txt"
         path.write_text("0\n1\nx\n")

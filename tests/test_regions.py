@@ -15,7 +15,6 @@ from shapecorr import (
     cotangent_laplacian,
     detect_stable_regions,
     eigenbasis,
-    filter_by_area,
     load_regions,
     project,
     region_coefficients,
@@ -83,6 +82,19 @@ class TestRegionSet:
             np.array([[True, False, True, False], [False, True, False, True]]),
             mesh)
         assert np.array_equal(rs.connected_flags(mesh), [True, False])
+
+    def test_connected_flags_match_per_region_subgraphs(self, creature4):
+        # random vertex sets: small ones mostly scattered, large ones whole;
+        # a single vertex is connected
+        rng = np.random.default_rng(5)
+        m = creature4.num_vertices
+        members = rng.random((40, m)) < np.linspace(0.01, 0.9, 40)[:, None]
+        members[0] = np.arange(m) == 7
+        members[1] = True
+        rs = regions_from_members(members, creature4)
+        flags = rs.connected_flags(creature4)
+        assert np.array_equal(flags, _oracles.connected_flags_per_region(rs, creature4))
+        assert flags.any() and not flags.all()
 
     def test_fractions_from_lumped_areas(self, tetra):
         rs = regions_from_members(np.eye(4, dtype=bool), tetra)
@@ -290,7 +302,7 @@ class TestFilter:
     def test_keeps_large(self):
         rs = RegionSet(members=np.array([[True, False], [True, True], [False, True]]),
                        area_fractions=np.array([0.5, 0.3, 0.04]))
-        kept = filter_by_area(rs, 0.05)
+        kept = _oracles.filter_by_area(rs, 0.05)
         assert len(kept) == 2
         assert np.array_equal(kept.area_fractions, [0.5, 0.3])
 
@@ -298,7 +310,7 @@ class TestFilter:
         rs = RegionSet(members=np.array([[True, False]]),
                        area_fractions=np.array([0.02]))
         with pytest.raises(ValueError, match="largest is 0.02"):
-            filter_by_area(rs, 0.5)
+            _oracles.filter_by_area(rs, 0.5)
 
 
 class TestCoefficients:
@@ -337,10 +349,27 @@ class TestRegionFiles:
         assert len(rs) == 2
         assert np.array_equal(rs.members[0], [True, True, True, False])
 
+    def test_written_text(self, tetra, tmp_path):
+        rs = RegionSet(members=np.array([[True, False, True, True], [False, True, False, False]]),
+                       area_fractions=np.array([0.75, 0.25]))
+        path = tmp_path / "regions.txt"
+        save_regions(rs, path)
+        assert path.read_text() == "# one region per line: vertex indices\n0 2 3\n1\n"
+
     def test_bad_token_names_line(self, tetra, tmp_path):
         path = tmp_path / "regions.txt"
         path.write_text("0 1\nx 2\n")
-        with pytest.raises(ValueError, match=":2: bad vertex index"):
+        with pytest.raises(ValueError, match=":2: bad vertex index: invalid literal for int"
+                                             r"\(\) with base 10: 'x'$"):
+            load_regions(path, tetra)
+
+    def test_int_syntax(self, tetra, tmp_path):
+        path = tmp_path / "regions.txt"
+        path.write_text("+0 01 1_0\r\n")
+        with pytest.raises(ValueError, match="region 0 references vertex 10"):
+            load_regions(path, tetra)
+        path.write_text("1 2.0\n")
+        with pytest.raises(ValueError, match=":1: bad vertex index.*'2.0'"):
             load_regions(path, tetra)
 
     def test_out_of_range_named(self, tetra, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import _meshes
+import _oracles
 from shapecorr import (
     Mesh,
     MeshValidationError,
@@ -67,6 +68,14 @@ class TestCotangent:
         stiffness, _ = cotangent_laplacian(creature4)
         assert np.abs(np.asarray(stiffness.sum(axis=1))).max() < 1e-12
         assert abs(stiffness - stiffness.T).max() < 1e-14
+
+    @pytest.mark.parametrize("make", [
+        lambda: _meshes.blob(2), lambda: _meshes.creature(4), _meshes.creature_5k,
+    ], ids=["blob2", "creature4", "creature_5k"])
+    def test_diagonal_matches_add_at(self, make):
+        mesh = make()
+        stiffness, _ = cotangent_laplacian(mesh)
+        assert np.array_equal(stiffness.diagonal(), _oracles.cotangent_diagonal_add_at(mesh))
 
     def test_positive_semidefinite(self, ico):
         dense = cotangent_laplacian(ico)[0].toarray()
