@@ -13,13 +13,13 @@ from .assignment import (Assignment, AssignmentInfeasibleError, build_profit,
                          prune, solve_assignment)
 from .evaluate import (DEFAULT_THRESHOLDS, ErrorCurve, correspondence_error,
                        error_curve, export_colored_ply, save_error_curve)
-from .matcher import MatchResult, apply_permutation, match, write_match_report
-from .mesh import (GeodesicField, Mesh, MeshParseError, MeshValidationError,
-                   geodesic_distance_matrix, geodesic_distances, load_mesh,
-                   read_ply, save_mesh, shape_diameter)
+from .matcher import MatchResult, match, write_match_report
+from .mesh import (Mesh, MeshParseError, MeshValidationError,
+                   geodesic_distance_matrix, load_mesh, read_ply, save_mesh,
+                   shape_diameter)
 from .pursuit import (PursuitResult, SolverOptions, default_weights, objective,
-                      optimality_residual, prox_l21_rows, prox_weighted_l1,
-                      resolve_penalties, solve_robust_sparse_coding, step_size)
+                      prox_l21_rows, prox_weighted_l1, resolve_penalties,
+                      solve_robust_sparse_coding, step_size)
 from .refine import (PointMap, RefineResult, load_point_map, nearest_rows,
                      orthogonal_procrustes, point_map_from_functional,
                      refine_icp, save_point_map)
@@ -27,6 +27,6 @@ from .regions import (DetectorParams, RegionSet, detect_stable_regions,
                       load_regions, region_coefficients, regions_from_members,
                       save_regions)
 from .spectral import (DEFAULT_BASIS_SIZE, SpectralBasis, cotangent_laplacian,
-                       eigenbasis, load_basis, project, save_basis, synthesize)
+                       eigenbasis, load_basis, project, save_basis)
 
 __version__ = "0.1.0"

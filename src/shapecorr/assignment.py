@@ -60,9 +60,6 @@ class Assignment:
         out[np.arange(self.num_rows), self.cols] = 1.0
         return out
 
-    def pairs(self):
-        return [(int(i), int(j)) for i, j in enumerate(self.cols)]
-
 
 def build_profit(coeffs_x, functional_map, coeffs_y):
     """Profit matrix E = (A C) B^T.

@@ -22,7 +22,6 @@ from .pursuit import (SolverOptions, default_weights, resolve_penalties,
 __all__ = [
     "MatchResult",
     "match",
-    "apply_permutation",
     "write_match_report",
 ]
 
@@ -51,23 +50,6 @@ class MatchResult:
     swapped: bool
     lam: float
     mu: float
-
-
-def apply_permutation(permutation, coeffs):
-    """Reorder rows of a coefficient matrix: Pi B.
-
-    Accepts an Assignment, a binary assignment matrix, or any dense
-    row-stochastic matrix (the uniform initial correspondence averages all
-    rows).
-    """
-    if isinstance(permutation, Assignment):
-        return np.asarray(coeffs, dtype=np.float64)[permutation.cols]
-    pi = np.asarray(permutation, dtype=np.float64)
-    B = np.asarray(coeffs, dtype=np.float64)
-    if pi.ndim != 2 or pi.shape[1] != B.shape[0]:
-        raise ValueError(
-            f"permutation shape {pi.shape} does not act on {B.shape[0]} rows")
-    return pi @ B
 
 
 def match(coeffs_x, coeffs_y, regions_x=None, regions_y=None, weights=None,

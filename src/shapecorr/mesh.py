@@ -7,21 +7,19 @@ between threads.  Construction and measures are whole-array numpy: the
 edges and their face counts come from one ``np.unique`` over integer edge
 keys, and vertex areas from one ``np.bincount``.
 
-The OFF and ASCII PLY readers find the content lines with one scan of the
-file's bytes and hand each element block to ``np.loadtxt``.  A block that
-is cut short or does not parse as one table is read again line by line,
-which raises the error that names the line and the element (and accepts
-what Python's ``int``/``float`` accept but numpy does not, such as
-``1_0``).  OBJ is read line by line.  The writers format each block with
-a single ``%`` call.  Arrays read and text written are the same, bit for
-bit, as those of the line-wise routes kept in ``tests/_oracles.py``.
+The readers take a file's content lines from ``str.splitlines``, with
+blanks and comments dropped.  The OFF and ASCII PLY readers hand each
+element block to ``np.loadtxt`` as one list of those lines.  A block
+that is cut short or does not parse as one table is read again line by
+line, which raises the error that names the line and the element (and
+accepts what Python's ``int``/``float`` accept but numpy does not, such
+as ``1_0``).  OBJ is read line by line.  The writers format each block
+with a single ``%`` call.  Arrays read and text written match, bit for
+bit, those of the line-wise routes kept in ``tests/_oracles.py``.
 """
 
 from __future__ import annotations
 
-import io
-import re
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -31,13 +29,11 @@ from scipy.sparse import csgraph
 
 __all__ = [
     "Mesh",
-    "GeodesicField",
     "MeshParseError",
     "MeshValidationError",
     "load_mesh",
     "save_mesh",
     "read_ply",
-    "geodesic_distances",
     "geodesic_distance_matrix",
     "shape_diameter",
 ]
@@ -192,29 +188,6 @@ class Mesh:
         return sparse.csr_matrix((data, (rows, cols)), shape=(m, m))
 
 
-@dataclass(frozen=True)
-class GeodesicField:
-    """All distances from one source vertex along the edge graph."""
-
-    source: int
-    distances: np.ndarray
-
-
-def geodesic_distances(mesh, source):
-    """Shortest-path distances from ``source`` to every vertex.
-
-    Distances are along the edge graph with Euclidean edge lengths
-    (Dijkstra); for a connected mesh every entry is finite.
-    """
-    source = int(source)
-    if not 0 <= source < mesh.num_vertices:
-        raise ValueError(
-            f"source vertex {source} out of range for mesh with "
-            f"{mesh.num_vertices} vertices")
-    d = csgraph.dijkstra(mesh.edge_graph, directed=False, indices=source)
-    return GeodesicField(source=source, distances=d)
-
-
 def geodesic_distance_matrix(mesh, sources, limit=np.inf):
     """Rows of edge-graph distances for several source vertices at once.
 
@@ -304,78 +277,34 @@ def read_ply(path):
     return _parse_ply(Path(path).read_text())
 
 
-# Besides "\n" and "\r", str.splitlines() ends a line at each of these,
-# and str.split() takes the second set for blanks.  Mapped to "\n" and " ",
-# they leave a byte scan with the lines and tokens the line-wise grammar
-# sees.  _RARE flags the bytes that call for that mapping.
-_LINE_BREAKS = re.compile("[\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
-_OTHER_BLANKS = re.compile("[\x1f\xa0\u1680\u2000-\u200a\u202f\u205f\u3000]")
-_RARE = np.zeros(256, dtype=bool)
-_RARE[[0x0b, 0x0c, 0x1c, 0x1d, 0x1e, 0x1f]] = True
-_RARE[0x80:] = True  # any non-ASCII text
-_BLANK = np.zeros(256, dtype=bool)
-_BLANK[[ord("\t"), ord(" ")]] = True
-
-
 class _Lines:
-    """The content lines of a mesh file, found by one scan of its bytes.
+    """The content lines of a mesh file, with a cursor over them.
 
-    A content line holds a non-blank character and does not begin, after
-    its leading blanks, with ``skip``.  Header lines are taken one at a
-    time.  An element block goes to ``np.loadtxt`` as one slice; when the
-    file ends inside it or it does not parse as one table, ``rescan``
-    walks that block line by line so the format's own error is raised.
+    Each line, numbered as ``str.splitlines`` counts, keeps its text
+    before ``cut`` without surrounding blanks; lines then empty or led by
+    ``skip`` are dropped.  An element block goes to ``np.loadtxt`` as one
+    list of strings; when the file ends inside it or it does not parse as
+    one table, ``rescan`` walks the same lines so the format's own error
+    is raised.
     """
 
-    def __init__(self, text, skip, comments=None):
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        self.data = text.encode()
-        self.buf = np.frombuffer(self.data, dtype=np.uint8)
-        if _RARE[self.buf].any():
-            text = _OTHER_BLANKS.sub(" ", _LINE_BREAKS.sub("\n", text))
-            self.data = text.encode()
-            self.buf = np.frombuffer(self.data, dtype=np.uint8)
-        self.skip = skip
-        self.comments = comments
-        breaks = np.flatnonzero(self.buf == ord("\n"))
-        starts = np.concatenate(([0], breaks + 1))
-        ends = np.append(breaks, len(self.buf))
-        first = starts.copy()  # first non-blank byte of each line
-        todo = np.flatnonzero(first < ends)
-        while len(todo):
-            todo = todo[_BLANK[self.buf[first[todo]]]]
-            first[todo] += 1
-            todo = todo[first[todo] < ends[todo]]
-        content = np.flatnonzero((first < ends) & ~self._starts_with(first, ends, skip))
-        self.lineno = content + 1
-        self.first = first[content]
-        self.ends = ends[content]
+    def __init__(self, text, cut=None, skip=None):
+        lines = text.splitlines()
+        if cut and cut in text:
+            lines = [line.split(cut, 1)[0] for line in lines]
+        self.lines = [(lineno, line)
+                      for lineno, line in enumerate(map(str.strip, lines), 1)
+                      if line and not (skip and line.startswith(skip))]
         self.next = 0  # index of the next unread content line
-        self.block = (0, 0, 0)  # (first content line, count asked, count present)
-
-    def _advance(self, count):
-        """Step over up to ``count`` content lines; return how many there were."""
-        present = max(0, min(count, len(self.lineno) - self.next))
-        self.next += present
-        return present
-
-    def _text(self, lo, hi):
-        return self.data[lo:hi].decode()
+        self.block = []  # the lines of the last table
+        self.wanted = 0  # how many lines that table asked for
 
     def take(self, what):
-        """Next content line as (lineno, text without surrounding blanks)."""
-        k = self.next
-        if k == len(self.lineno):
+        """Next content line as (lineno, text)."""
+        if self.next == len(self.lines):
             raise MeshParseError(f"unexpected end of file while reading {what}")
         self.next += 1
-        return int(self.lineno[k]), self._text(self.first[k], self.ends[k]).rstrip()
-
-    def skip_block(self, count, what):
-        """Pass over ``count`` content lines, which must all be there."""
-        present = self._advance(count)
-        if present < count:
-            raise MeshParseError(f"unexpected end of file while reading {what} {present}")
+        return self.lines[self.next - 1]
 
     def table(self, count, dtype):
         """Next ``count`` content lines as one (count, columns) array.
@@ -383,56 +312,27 @@ class _Lines:
         None when the file ends first or the lines do not parse as one
         table of ``dtype``; ``rescan`` then reads the same lines.
         """
-        k = self.next
-        present = self._advance(count)
-        self.block = (k, count, present)
-        if present == 0 or present < count:
+        self.block = self.lines[self.next:self.next + count]
+        self.wanted = count
+        self.next += len(self.block)
+        if len(self.block) < count or count == 0:
             return None
-        chunk = io.BytesIO(self.data[self.first[k]:self.ends[k + count - 1]])
         try:
-            return np.loadtxt(chunk, dtype=dtype, comments=self.comments, ndmin=2)
+            return np.loadtxt([line for _, line in self.block], dtype=dtype,
+                              comments=None, ndmin=2)
         except ValueError:
             return None
 
-    def _starts_with(self, first, ends, prefix):
-        """Which of the spans ``first:ends`` of the bytes begin with ``prefix``."""
-        hit = np.ones(len(first), dtype=bool)
-        for j, char in enumerate(prefix.encode()):
-            hit &= first + j < ends
-            hit[hit] = self.buf[first[hit] + j] == char
-        return hit
-
-    def leading_token_is(self, token):
-        """Whether every line of the last table starts with ``token`` alone."""
-        k, _, present = self.block
-        first, ends = self.first[k:k + present], self.ends[k:k + present]
-        after = first + len(token)
-        hit = self._starts_with(first, ends, token) & (after < ends)
-        hit[hit] = _BLANK[self.buf[after[hit]]]
-        return bool(hit.all())
-
     def rescan(self, what):
-        """Yield (i, lineno, tokens) over the last table's lines, line by line.
+        """Yield (i, lineno, tokens) over the last table's lines.
 
         Raises the end-of-file error after them when the file ended inside
         the block.
         """
-        k, count, present = self.block
-        if present:
-            text = self._text(self.first[k], self.ends[k + present - 1])
-            lines = _content_lines(text, int(self.lineno[k]), self.comments, self.skip)
-            for i, (lineno, tokens) in enumerate(lines):
-                yield i, lineno, tokens
-        if present < count:
-            raise MeshParseError(f"unexpected end of file while reading {what} {present}")
-
-
-def _content_lines(text, start=1, comments="#", skip=None):
-    """Strip comments and blanks, and lines led by ``skip``; yield (lineno, tokens)."""
-    for lineno, raw in enumerate(text.splitlines(), start=start):
-        line = (raw.split(comments, 1)[0] if comments else raw).strip()
-        if line and not (skip and line.startswith(skip)):
-            yield lineno, line.split()
+        for i, (lineno, line) in enumerate(self.block):
+            yield i, lineno, line.split()
+        if len(self.block) < self.wanted:
+            self.take(f"{what} {len(self.block)}")  # no line is left: raises
 
 
 def _floats(tokens, count, lineno, what):
@@ -445,46 +345,52 @@ def _floats(tokens, count, lineno, what):
         raise MeshParseError(f"line {lineno}: bad number in {what}: {exc}") from None
 
 
-def _face(tokens, lineno, i):
-    if len(tokens) != 4 or tokens[0] != "3":
-        raise MeshParseError(
-            f"line {lineno}: face {i} must be '3 i j k' (triangles only)")
-    try:
-        return [int(t) for t in tokens[1:]]
-    except ValueError:
-        raise MeshParseError(f"line {lineno}: non-integer index in face {i}") from None
-
-
 def _faces(lines, count):
     rows = lines.table(count, np.int64)
-    if rows is not None and rows.shape[1] == 4 and lines.leading_token_is("3"):
+    # the grammar takes "3" alone as the first token, not "03" or "+3"
+    if (rows is not None and rows.shape[1] == 4
+            and all(line.startswith(("3 ", "3\t")) for _, line in lines.block)):
         return np.ascontiguousarray(rows[:, 1:])
-    tris = np.empty((count, 3), dtype=np.int64)
+    tris = np.empty((len(lines.block), 3), dtype=np.int64)
     for i, lineno, tokens in lines.rescan("face"):
-        tris[i] = _face(tokens, lineno, i)
+        if len(tokens) != 4 or tokens[0] != "3":
+            raise MeshParseError(
+                f"line {lineno}: face {i} must be '3 i j k' (triangles only)")
+        try:
+            tris[i] = [int(t) for t in tokens[1:]]
+        except ValueError:
+            raise MeshParseError(f"line {lineno}: non-integer index in face {i}") from None
     return tris
 
 
+def _count(token, lineno):
+    """An element count from a header line: a nonnegative integer."""
+    try:
+        count = int(token)
+    except ValueError:
+        raise MeshParseError(f"line {lineno}: non-integer element count") from None
+    if count < 0:
+        raise MeshParseError(f"line {lineno}: negative element count {count}")
+    return count
+
+
 def _parse_off(text):
-    lines = _Lines(text, skip="#", comments="#")
+    lines = _Lines(text, cut="#")
     lineno, header = lines.take("OFF header")
-    tokens = header.split("#", 1)[0].split()
+    tokens = header.split()
     if tokens[0].upper() != "OFF":
         raise MeshParseError(f"line {lineno}: missing OFF header")
     if len(tokens) > 1:
         counts = tokens[1:]
     else:
         lineno, header = lines.take("OFF element counts")
-        counts = header.split("#", 1)[0].split()
+        counts = header.split()
     if len(counts) not in (2, 3):
         raise MeshParseError(f"line {lineno}: expected 'nv nf [ne]' counts")
-    try:
-        nv, nf = int(counts[0]), int(counts[1])
-    except ValueError:
-        raise MeshParseError(f"line {lineno}: non-integer element count") from None
+    nv, nf = _count(counts[0], lineno), _count(counts[1], lineno)
     verts = lines.table(nv, np.float64)
     if verts is None or verts.shape[1] != 3:
-        verts = np.empty((nv, 3))
+        verts = np.empty((len(lines.block), 3))
         for i, lineno, tokens in lines.rescan("vertex"):
             verts[i] = _floats(tokens, 3, lineno, f"vertex {i}")
     return verts, _faces(lines, nf)
@@ -493,7 +399,8 @@ def _parse_off(text):
 def _parse_obj(text):
     verts = []
     tris = []
-    for lineno, tokens in _content_lines(text):
+    for lineno, line in _Lines(text, cut="#").lines:
+        tokens = line.split()
         key = tokens[0]
         if key == "v":
             verts.append(_floats(tokens[1:], 3, lineno, f"vertex {len(verts)}"))
@@ -529,12 +436,14 @@ def _parse_ply(text):
     while True:
         lineno, line = lines.take("PLY header")
         tokens = line.split()
+        if len(tokens) < {"format": 2, "element": 3}.get(tokens[0], 1):
+            raise MeshParseError(f"line {lineno}: incomplete header line {line!r}")
         if tokens[0] == "format":
             if tokens[1] != "ascii":
                 raise MeshParseError(
                     f"line {lineno}: only ASCII PLY is supported, got {tokens[1]!r}")
         elif tokens[0] == "element":
-            elements.append((tokens[1], int(tokens[2]), []))
+            elements.append((tokens[1], _count(tokens[2], lineno), []))
         elif tokens[0] == "property":
             if not elements:
                 raise MeshParseError(f"line {lineno}: property before any element")
@@ -553,8 +462,9 @@ def _parse_ply(text):
             verts, colors = _ply_vertices(lines, count, props)
         elif name == "face":
             tris = _faces(lines, count)
-        else:
-            lines.skip_block(count, name)
+        else:  # unknown elements are skipped
+            for i in range(count):
+                lines.take(f"{name} {i}")
     return verts, tris, colors
 
 
@@ -573,8 +483,8 @@ def _ply_vertices(lines, count, props):
         # int() truncates toward zero, so (-1, 256) is what fits uint8
         if ((rgb > -1) & (rgb < 256)).all():
             return values[:, cols], rgb.astype(np.uint8)
-    verts = np.empty((count, 3))
-    colors = np.empty((count, 3), dtype=np.uint8) if has_rgb else None
+    verts = np.empty((len(lines.block), 3))
+    colors = np.empty((len(lines.block), 3), dtype=np.uint8) if has_rgb else None
     for i, lineno, tokens in lines.rescan("vertex"):
         row = _floats(tokens, len(props), lineno, f"vertex {i}")
         verts[i] = [row[c] for c in cols]

@@ -36,7 +36,6 @@ __all__ = [
     "objective",
     "resolve_penalties",
     "solve_robust_sparse_coding",
-    "optimality_residual",
 ]
 
 
@@ -229,34 +228,3 @@ def solve_robust_sparse_coding(dictionary, target, weights=None, options=None,
                          objective_trace=np.array(trace),
                          iterations=iterations, converged=converged,
                          lam=lam, mu=mu)
-
-
-def optimality_residual(dictionary, target, functional_map, outliers,
-                        weights, lam, mu):
-    """Largest entry of the minimum-norm subgradient at (C, O).
-
-    Zero exactly at a minimizer.  For C the per-entry bound is
-    |grad| - lam * w off the support and |grad + lam * w * sign(C)| on it;
-    for O each row contributes the norm of its smallest subgradient.
-    """
-    A = np.asarray(dictionary, dtype=np.float64)
-    Bp = np.asarray(target, dtype=np.float64)
-    C = np.asarray(functional_map, dtype=np.float64)
-    O = np.asarray(outliers, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    residual = A @ C + O - Bp
-    grad_C = A.T @ residual
-    on = C != 0
-    slack_C = np.where(on,
-                       np.abs(grad_C + lam * weights * np.sign(C)),
-                       np.maximum(np.abs(grad_C) - lam * weights, 0.0))
-    row_norms = np.linalg.norm(O, axis=1)
-    grad_norms = np.linalg.norm(residual, axis=1)
-    slack_O = np.empty(len(O))
-    zero = row_norms == 0
-    slack_O[zero] = np.maximum(grad_norms[zero] - mu, 0.0)
-    alive = ~zero
-    if alive.any():
-        direction = O[alive] / row_norms[alive, None]
-        slack_O[alive] = np.linalg.norm(residual[alive] + mu * direction, axis=1)
-    return float(max(slack_C.max(initial=0.0), slack_O.max(initial=0.0)))

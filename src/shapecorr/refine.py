@@ -14,9 +14,7 @@ decides the rest over the few rows inside the margin.
 
 from __future__ import annotations
 
-import io
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -239,30 +237,22 @@ def save_point_map(point_map, path):
 def load_point_map(path, num_targets=None):
     """Read a point map written by :func:`save_point_map`.
 
-    When ``num_targets`` is given, indices are validated against it.
+    One vertex index per line; ``#`` starts a comment, and blank lines
+    are skipped.  A line that is not one integer raises an error naming
+    it.  When ``num_targets`` is given, indices are validated against it.
     """
-    text = Path(path).read_text()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the empty file is reported below
+    indices = []
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
         try:
-            arr = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
+            indices.append(int(line))
         except ValueError:
-            arr = np.empty((0, 0), dtype=np.int64)
-    if len(arr) and arr.shape[1] == 1:
-        arr = arr[:, 0]
-    else:  # line by line, to name the offending line
-        indices = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                indices.append(int(line))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected a vertex index") from None
-        if not indices:
-            raise ValueError(f"{path}: empty point map")
-        arr = np.array(indices, dtype=np.int64)
+            raise ValueError(f"{path}:{lineno}: expected a vertex index") from None
+    if not indices:
+        raise ValueError(f"{path}: empty point map")
+    arr = np.array(indices, dtype=np.int64)
     if num_targets is not None and arr.max() >= num_targets:
         raise ValueError(
             f"{path}: index {arr.max()} out of range for {num_targets} vertices")

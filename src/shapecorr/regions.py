@@ -104,14 +104,6 @@ class RegionSet:
     def num_vertices(self):
         return self.members.shape[1]
 
-    def indicator(self, i):
-        """Region i as a float 0/1 vertex function."""
-        return self.members[i].astype(np.float64)
-
-    def subset(self, indices):
-        indices = np.asarray(indices, dtype=np.int64)
-        return RegionSet(self.members[indices], self.area_fractions[indices])
-
     def connected_flags(self, mesh):
         """Whether each region is vertex-connected on the mesh graph."""
         # one graph with a block per region, its induced subgraph: node k

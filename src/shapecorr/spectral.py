@@ -25,7 +25,6 @@ __all__ = [
     "cotangent_laplacian",
     "eigenbasis",
     "project",
-    "synthesize",
     "save_basis",
     "load_basis",
     "DEFAULT_BASIS_SIZE",
@@ -207,16 +206,6 @@ def project(basis, values):
             f"function has {values.shape[0]} values, basis has "
             f"{basis.num_vertices} vertices")
     return basis.functions.T @ (values.T * basis.masses).T
-
-
-def synthesize(basis, coefficients):
-    """Vertex values of coefficient vector(s): f = Phi a."""
-    coefficients = np.asarray(coefficients, dtype=np.float64)
-    if coefficients.shape[0] != basis.size:
-        raise ValueError(
-            f"coefficient vector has length {coefficients.shape[0]}, "
-            f"basis has {basis.size} functions")
-    return basis.functions @ coefficients
 
 
 def save_basis(basis, path):

@@ -7,6 +7,7 @@ from scipy import optimize
 from scipy.sparse import csgraph
 
 from shapecorr.mesh import MeshParseError
+from shapecorr.regions import RegionSet
 
 
 def grid_prox_scalar(value, weight, step, spacing=1e-4):
@@ -89,6 +90,37 @@ def lp_constraint_matrix(q):
     eye = np.eye(q, dtype=np.int64)
     ones = np.ones((1, q), dtype=np.int64)
     return np.vstack([np.kron(ones, eye), np.kron(eye, ones)])
+
+
+def optimality_residual(dictionary, target, functional_map, outliers,
+                        weights, lam, mu):
+    """Largest entry of the minimum-norm subgradient at (C, O).
+
+    Zero exactly at a minimizer.  For C the per-entry bound is
+    |grad| - lam * w off the support and |grad + lam * w * sign(C)| on it;
+    for O each row contributes the norm of its smallest subgradient.
+    """
+    A = np.asarray(dictionary, dtype=np.float64)
+    Bp = np.asarray(target, dtype=np.float64)
+    C = np.asarray(functional_map, dtype=np.float64)
+    O = np.asarray(outliers, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    residual = A @ C + O - Bp
+    grad_C = A.T @ residual
+    on = C != 0
+    slack_C = np.where(on,
+                       np.abs(grad_C + lam * weights * np.sign(C)),
+                       np.maximum(np.abs(grad_C) - lam * weights, 0.0))
+    row_norms = np.linalg.norm(O, axis=1)
+    grad_norms = np.linalg.norm(residual, axis=1)
+    slack_O = np.empty(len(O))
+    zero = row_norms == 0
+    slack_O[zero] = np.maximum(grad_norms[zero] - mu, 0.0)
+    alive = ~zero
+    if alive.any():
+        direction = O[alive] / row_norms[alive, None]
+        slack_O[alive] = np.linalg.norm(residual[alive] + mu * direction, axis=1)
+    return float(max(slack_C.max(initial=0.0), slack_O.max(initial=0.0)))
 
 
 def nearest_rows_scan(points, queries):
@@ -223,7 +255,7 @@ def filter_by_area(regions, min_area_frac=0.05):
         raise ValueError(
             f"no region has area fraction >= {min_area_frac}; largest is "
             f"{regions.area_fractions.max():.4f}")
-    return regions.subset(keep)
+    return RegionSet(regions.members[keep], regions.area_fractions[keep])
 
 
 # -- line-wise mesh readers and writers ------------------------------------

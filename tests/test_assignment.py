@@ -21,7 +21,6 @@ class TestAssignment:
     def test_basics(self):
         a = Assignment(cols=[2, 0, 3], num_cols=5)
         assert a.num_rows == 3
-        assert a.pairs() == [(0, 2), (1, 0), (2, 3)]
         expect = np.zeros((3, 5))
         expect[[0, 1, 2], [2, 0, 3]] = 1.0
         assert np.array_equal(a.matrix, expect)

@@ -323,6 +323,14 @@ class TestMain:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_malformed_mesh_header_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ply"
+        bad.write_text("ply\nformat ascii 1.0\nelement vertex\nend_header\n")
+        code = main(["run", "--mesh-x", str(bad), "--mesh-y", str(bad),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "line 3: incomplete header line" in capsys.readouterr().err
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("who = knows\n")

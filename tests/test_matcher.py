@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 import _meshes
-from shapecorr import (Assignment, SolverOptions, apply_permutation, match,
-                       region_coefficients, regions_from_members,
-                       write_match_report)
+from shapecorr import (SolverOptions, match, region_coefficients,
+                       regions_from_members, write_match_report)
 from shapecorr.pursuit import resolve_penalties
 
 
@@ -21,29 +20,6 @@ def coeffs3(creature3_regions, creature3_basis):
 def options3(coeffs3):
     lam, mu = _meshes.matching_penalties(coeffs3, coeffs3)
     return SolverOptions(lam=lam, mu=mu)
-
-
-class TestApplyPermutation:
-    def test_assignment_selects_rows(self, rng):
-        coeffs = rng.standard_normal((4, 3))
-        asn = Assignment(np.array([2, 0, 3]), 4)
-        assert np.array_equal(apply_permutation(asn, coeffs), coeffs[[2, 0, 3]])
-
-    def test_matrix_agrees_with_assignment(self, rng):
-        coeffs = rng.standard_normal((4, 3))
-        asn = Assignment(np.array([1, 3]), 4)
-        assert np.allclose(apply_permutation(asn.matrix, coeffs),
-                           apply_permutation(asn, coeffs))
-
-    def test_uniform_start_averages_rows(self, rng):
-        coeffs = rng.standard_normal((5, 3))
-        uniform = np.full((2, 5), 0.2)
-        got = apply_permutation(uniform, coeffs)
-        assert np.allclose(got, np.tile(coeffs.mean(axis=0), (2, 1)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="does not act on"):
-            apply_permutation(np.ones((2, 3)), np.ones((4, 2)))
 
 
 class TestRecovery:
@@ -167,5 +143,5 @@ class TestReport:
         start = lines.index("assignment_pairs:") + 1
         end = lines.index("outlier_row_norms:")
         pairs = [tuple(map(int, ln.split())) for ln in lines[start:end]]
-        assert pairs == res.assignment.pairs()
+        assert pairs == list(enumerate(res.assignment.cols.tolist()))
         assert len(lines) - end - 1 == 4

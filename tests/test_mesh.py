@@ -12,7 +12,6 @@ from shapecorr import (
     MeshParseError,
     MeshValidationError,
     geodesic_distance_matrix,
-    geodesic_distances,
     load_mesh,
     read_ply,
     save_mesh,
@@ -162,21 +161,20 @@ class TestGeodesics:
         assert np.allclose(got, oracle, rtol=1e-12, atol=1e-12)
 
     def test_field_contents(self, tetra):
-        field = geodesic_distances(tetra, 2)
-        assert field.source == 2
-        assert field.distances[2] == 0.0
-        assert field.distances == pytest.approx([1.0, 1.0, 0.0, 1.0])
+        row = geodesic_distance_matrix(tetra, [2])[0]
+        assert row[2] == 0.0
+        assert row == pytest.approx([1.0, 1.0, 0.0, 1.0])
 
     def test_source_out_of_range(self, tetra):
         with pytest.raises(ValueError, match="out of range"):
-            geodesic_distances(tetra, 4)
+            geodesic_distance_matrix(tetra, [4])
         with pytest.raises(ValueError, match="out of range"):
             geodesic_distance_matrix(tetra, [0, -1])
 
     def test_matrix_rows_match_fields(self, ico):
         rows = geodesic_distance_matrix(ico, [0, 5, 11])
         for r, s in zip(rows, [0, 5, 11]):
-            assert np.array_equal(r, geodesic_distances(ico, s).distances)
+            assert np.array_equal(r, geodesic_distance_matrix(ico, [s])[0])
 
     def test_diameter_exact_when_all_sampled(self, ico):
         oracle = _meshes.floyd_warshall(ico).max()
@@ -395,6 +393,7 @@ PLY_RGB_HEAD = PLY_HEAD.replace("property float z\n", "property float z\npropert
 # files both readers reject: (format, text)
 MALFORMED_TEXTS = {
     "off-bad-float": ("off", "OFF\n3 1 0\n0 0 0\n1 0 x\n0 1 0\n3 0 1 2\n"),
+    "off-bad-float-after-formfeed": ("off", "OFF\n3 1 0\n0 0 0\x0c1 0 x\n0 1 0\n3 0 1 2\n"),
     "off-face-index-2.5": ("off", f"OFF\n3 1 0\n{TRI}3 0 1 2.5\n"),
     "off-face-index-2.0": ("off", f"OFF\n3 1 0\n{TRI}3 0 1 2.0\n"),
     "off-face-index-huge": ("off", f"OFF\n3 1 0\n{TRI}3 0 1 99999999999999999999\n"),
@@ -417,17 +416,16 @@ MALFORMED_TEXTS = {
     "off-non-integer-counts": ("off", f"OFF\n3.0 1 0\n{TRI}3 0 1 2\n"),
     "off-counts-not-numbers": ("off", "OFF\nx y\n"),
     "off-one-count": ("off", f"OFF\n3\n{TRI}"),
-    "off-negative-count": ("off", f"OFF\n-1 1 0\n{TRI}"),
     "ply-no-magic": ("ply", "solid\n"),
     "ply-binary": ("ply", "ply\nformat binary_little_endian 1.0\nend_header\n"),
     "ply-unrecognized-header": ("ply", "ply\nformat ascii 1.0\nobj_info x\nend_header\n"),
     "ply-property-first": ("ply", "ply\nformat ascii 1.0\nproperty float x\nend_header\n"),
     "ply-header-ends": ("ply", "ply\nformat ascii 1.0\nelement vertex 3\n"),
-    "ply-non-integer-count": ("ply", "ply\nformat ascii 1.0\nelement vertex 3.5\nend_header\n"),
     "ply-no-faces": ("ply", "ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
                             f"property float y\nproperty float z\nend_header\n{TRI}"),
     "ply-vertex-lacks-z": ("ply", PLY_HEAD.replace("property float z\n", "") + TRI),
     "ply-bad-float": ("ply", PLY_HEAD + "0 0 0\n1 0 x\n0 1 0\n3 0 1 2\n"),
+    "ply-bad-float-after-u2028": ("ply", PLY_HEAD + "0 0 0\u20281 0 x\n0 1 0\n3 0 1 2\n"),
     "ply-hash-in-body": ("ply", PLY_HEAD + "0 0 0 # note\n1 0 0\n0 1 0\n3 0 1 2\n"),
     "ply-vertex-2-numbers": ("ply", PLY_HEAD + "0 0 0\n1 0\n0 1 0\n3 0 1 2\n"),
     "ply-face-index-2.0": ("ply", PLY_HEAD + TRI + "3 0 1 2.0\n"),
@@ -442,6 +440,40 @@ MALFORMED_TEXTS = {
     "ply-color-negative": ("ply", PLY_RGB_HEAD + "0 0 0 -1 2 3\n1 0 0 0 0 0\n0 1 0 1 2 3\n"
                                                  "3 0 1 2\n"),
 }
+
+# header faults the line-wise readers let escape as IndexError, a bare
+# ValueError or MemoryError: (format, text, message of the MeshParseError)
+HEADER_FAULTS = {
+    "off-negative-count": ("off", f"OFF\n-1 1 0\n{TRI}", "line 2: negative element count -1"),
+    "off-negative-face-count": ("off", f"OFF 3 -2\n{TRI}", "line 1: negative element count -2"),
+    # the rows are allocated for the lines present, not the count declared
+    "off-huge-count": ("off", "OFF\n1000000000000 1 0\n0 0 0\n",
+                       "unexpected end of file while reading vertex 1"),
+    "ply-huge-face-count": ("ply", PLY_HEAD.replace("face 1", "face 1000000000000") + TRI,
+                            "unexpected end of file while reading face 0"),
+    "ply-non-integer-count": ("ply", "ply\nformat ascii 1.0\nelement vertex 3.5\nend_header\n",
+                              "line 3: non-integer element count"),
+    "ply-negative-count": ("ply", PLY_HEAD.replace("vertex 3", "vertex -3"),
+                           "line 3: negative element count -3"),
+    "ply-format-alone": ("ply", "ply\nformat\nend_header\n",
+                         "line 2: incomplete header line 'format'"),
+    "ply-element-without-count": ("ply", "ply\nformat ascii 1.0\nelement vertex\n",
+                                  "line 3: incomplete header line 'element vertex'"),
+}
+
+
+class TestHeaderFaults:
+    """Header faults raise a MeshParseError, not an IndexError or MemoryError."""
+
+    @pytest.mark.parametrize("name", HEADER_FAULTS)
+    def test_header_fault_is_parse_error(self, name, tmp_path):
+        fmt, text, message = HEADER_FAULTS[name]
+        path = tmp_path / f"m.{fmt}"
+        path.write_text(text)
+        with pytest.raises(MeshParseError) as got:
+            load_mesh(path)
+        assert str(got.value) == message
+
 
 READERS = {"off": (mesh_module._parse_off, _oracles.parse_off),
            "ply": (mesh_module._parse_ply, _oracles.parse_ply)}

@@ -15,7 +15,6 @@ from shapecorr import (
     detect_stable_regions,
     eigenbasis,
     objective,
-    optimality_residual,
     prox_l21_rows,
     prox_weighted_l1,
     region_coefficients,
@@ -187,8 +186,8 @@ class TestSolver:
             res = solve_robust_sparse_coding(
                 A, B, W, SolverOptions(tol=1e-14, max_iter=50000))
             assert res.converged
-            slack = optimality_residual(A, B, res.functional_map, res.outliers,
-                                        W, res.lam, res.mu)
+            slack = _oracles.optimality_residual(A, B, res.functional_map,
+                                                 res.outliers, W, res.lam, res.mu)
             assert slack <= 1e-5
 
     def test_identity_dictionary_closed_form(self, rng):
@@ -276,12 +275,13 @@ class TestOptimalityResidual:
         C = prox_weighted_l1(B, W, lam)
         resid_rows = np.linalg.norm(B - C, axis=1)
         mu = resid_rows.max() + 1.0  # zero outliers are then stationary
-        slack = optimality_residual(np.eye(4), B, C, np.zeros((4, 4)), W, lam, mu)
+        slack = _oracles.optimality_residual(np.eye(4), B, C, np.zeros((4, 4)),
+                                             W, lam, mu)
         assert slack <= 1e-12
 
     def test_positive_away_from_solution(self, rng):
         A, B = random_problem(rng, 4, 3)
         W = default_weights(3)
-        slack = optimality_residual(A, B, np.ones((3, 3)), np.zeros_like(B),
-                                    W, 0.1, 0.1)
+        slack = _oracles.optimality_residual(A, B, np.ones((3, 3)),
+                                             np.zeros_like(B), W, 0.1, 0.1)
         assert slack > 0.01

@@ -71,10 +71,6 @@ class TestRegionSet:
                        area_fractions=np.array([0.6, 0.4]))
         assert len(rs) == 2
         assert rs.num_vertices == 3
-        assert np.array_equal(rs.indicator(0), [1.0, 0.0, 1.0])
-        assert rs.indicator(0).dtype == np.float64
-        sub = rs.subset([1])
-        assert np.array_equal(sub.members, [[False, True, False]])
 
     def test_connected_flags(self):
         mesh = _meshes.square_diagonal()  # edges 01 12 02 23 03, no 13
@@ -318,7 +314,7 @@ class TestCoefficients:
         coeffs = region_coefficients(creature4_regions, creature4_basis)
         assert coeffs.shape == (len(creature4_regions), creature4_basis.size)
         for i in range(len(creature4_regions)):
-            one = project(creature4_basis, creature4_regions.indicator(i))
+            one = project(creature4_basis, creature4_regions.members[i])
             assert coeffs[i] == pytest.approx(one, rel=1e-12, abs=1e-12)
 
     def test_first_coefficient_is_scaled_area(self, creature4, creature4_basis, creature4_regions):
