@@ -1,15 +1,16 @@
 """Command-line interface and end-to-end pipeline.
 
 Subcommands cover each stage (basis, detect, match, refine, eval, export)
-plus ``run``, which chains them from a flat ``key = value`` config file.
-Every config key can be overridden by the flag of the same name.  Exit
-codes: 0 success, 1 computational failure, 2 usage or configuration
-error.
+plus ``run``, which chains the same stage bodies from a flat ``key = value``
+config file; a flag overrides the config key of the same name.  Exit codes:
+0 success, 1 computational failure, 2 usage, configuration or file error,
+an ``out_dir`` that cannot be created included.  Errors name their stage.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -20,7 +21,7 @@ import numpy as np
 from .evaluate import (correspondence_error, error_curve, export_colored_ply,
                        save_error_curve)
 from .matcher import match, write_match_report
-from .mesh import (MeshParseError, MeshValidationError, load_mesh,
+from .mesh import (MeshParseError, MeshValidationError, _Lines, load_mesh,
                    shape_diameter)
 from .pursuit import SolverOptions, default_weights
 from .refine import load_point_map, refine_icp, save_point_map
@@ -82,6 +83,9 @@ class PipelineConfig:
     threshold_step: float = 0.01
 
 
+# config key -> dataclass field, in declaration order
+_FIELDS = {f.name: f for f in fields(PipelineConfig)}
+
 # config keys appearing under a different flag spelling
 _KEY_ALIASES = {"lambda": "lam"}
 
@@ -112,35 +116,27 @@ def _parse_value(key, raw, kind):
 
 def load_config(path):
     """Parse a flat ``key = value`` config file into a PipelineConfig."""
-    known = {f.name: f for f in fields(PipelineConfig)}
     config = PipelineConfig()
-    try:
+    with _guard("config"):
         text = Path(path).read_text()
-    except OSError as exc:
-        raise PipelineError("config", str(exc), exit_code=2) from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _Lines(text, cut="#").lines:
         if "=" not in line:
             raise PipelineError(
                 "config", f"{path}:{lineno}: expected 'key = value'", exit_code=2)
         key, _, value = line.partition("=")
-        key = key.strip()
-        key = _KEY_ALIASES.get(key, key)
-        if key not in known:
+        key = _KEY_ALIASES.get(key.strip(), key.strip())
+        if key not in _FIELDS:
             raise PipelineError(
                 "config", f"{path}:{lineno}: unknown key {key!r}", exit_code=2)
         try:
-            setattr(config, key, _parse_value(key, value, _field_kind(known[key])))
+            setattr(config, key, _parse_value(key, value, _field_kind(_FIELDS[key])))
         except ValueError as exc:
             raise PipelineError("config", f"{path}:{lineno}: {exc}", exit_code=2) from exc
     return config
 
 
-def _detector_params(source):
-    """DetectorParams from a config or parsed flags carrying its field names."""
-    return DetectorParams(**{f.name: getattr(source, f.name)
+def _detector_params(config):
+    return DetectorParams(**{f.name: getattr(config, f.name)
                              for f in fields(DetectorParams)})
 
 
@@ -160,26 +156,26 @@ def load_functional_map(path):
     return mat
 
 
+def _exit_code(exc):
+    """2 for input that cannot be read, parsed or written; 1 for a failed
+    computation; None for anything else, a PipelineError included."""
+    if isinstance(exc, (OSError, MeshParseError, MeshValidationError)):
+        return 2
+    if isinstance(exc, (ValueError, RuntimeError, ArithmeticError)):
+        return 1
+    return None
+
+
+@contextlib.contextmanager
 def _guard(stage):
-    """Translate stage exceptions into PipelineError with an exit code."""
-
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is None or isinstance(exc, PipelineError):
-                return False
-            if isinstance(exc, (FileNotFoundError, IsADirectoryError,
-                                PermissionError, MeshParseError,
-                                MeshValidationError)):
-                raise PipelineError(stage, str(exc), exit_code=2) from exc
-            if isinstance(exc, (ValueError, RuntimeError, FloatingPointError,
-                                ArithmeticError)):
-                raise PipelineError(stage, str(exc), exit_code=1) from exc
-            return False
-
-    return _Ctx()
+    """Re-raise a stage failure as a PipelineError naming the stage."""
+    try:
+        yield
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
+        raise PipelineError(stage, str(exc), exit_code=code) from exc
 
 
 def _mesh_basis(mesh, cache_path, size):
@@ -205,6 +201,48 @@ def _mesh_basis(mesh, cache_path, size):
     return basis
 
 
+def _out_dir(config):
+    """The output directory, created when missing."""
+    with _guard("output"):
+        out_dir = Path(config.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def _refine(config, basis_x, basis_y, functional_map):
+    """ICP from ``functional_map``; writes the point map and refined map."""
+    out_dir = _out_dir(config)
+    with _guard("refine"):
+        refined = refine_icp(basis_x, basis_y, functional_map,
+                             max_iters=config.refine_iters)
+        save_point_map(refined.point_map, out_dir / "point_map.txt")
+        save_functional_map(refined.functional_map,
+                            out_dir / "functional_map_refined.txt")
+    return refined
+
+
+def _evaluate(config, point_map, mesh_y):
+    """Errors against ``config.truth``; writes the curve and the summary."""
+    out_dir = _out_dir(config)
+    with _guard("evaluate"):
+        truth = load_point_map(config.truth, num_targets=mesh_y.num_vertices)
+        diameter = shape_diameter(mesh_y, config.diameter_samples)
+        errors = correspondence_error(point_map, truth, mesh_y, diameter)
+        thresholds = np.arange(0.0, config.threshold_max + 1e-9, config.threshold_step)
+        save_error_curve(error_curve(errors, thresholds), out_dir / "error_curve.txt")
+        (out_dir / "eval_summary.txt").write_text(
+            f"mean_error = {float(errors.mean()):.12f}\n"
+            f"median_error = {float(np.median(errors)):.12f}\n")
+    return errors
+
+
+def _export(config, mesh_x, mesh_y, point_map):
+    out_dir = _out_dir(config)
+    with _guard("export"):
+        export_colored_ply(mesh_x, mesh_y, point_map,
+                           out_dir / "x_colored.ply", out_dir / "y_colored.ply")
+
+
 def run_pipeline(config, until="end"):
     """Execute load, basis, regions, match, refine, evaluate, export.
 
@@ -217,8 +255,7 @@ def run_pipeline(config, until="end"):
     if until not in ("match", "end"):
         raise ValueError(f"unknown pipeline stop point {until!r}")
     t_total = time.perf_counter()
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(config)
 
     with _guard("load"):
         if not config.mesh_x or not config.mesh_y:
@@ -273,33 +310,11 @@ def run_pipeline(config, until="end"):
     mean_error = None
     if until == "end":
         t0 = time.perf_counter()
-        with _guard("refine"):
-            refined = refine_icp(basis_x, basis_y, result.functional_map,
-                                 max_iters=config.refine_iters)
-            save_point_map(refined.point_map, out_dir / "point_map.txt")
-            save_functional_map(refined.functional_map,
-                                out_dir / "functional_map_refined.txt")
+        refined = _refine(config, basis_x, basis_y, result.functional_map)
         t_refine = time.perf_counter() - t0
-
-        with _guard("evaluate"):
-            if config.truth:
-                truth = load_point_map(config.truth,
-                                       num_targets=mesh_y.num_vertices)
-                diameter = shape_diameter(mesh_y, config.diameter_samples)
-                errors = correspondence_error(refined.point_map, truth,
-                                              mesh_y, diameter)
-                thresholds = np.arange(0.0, config.threshold_max + 1e-9,
-                                       config.threshold_step)
-                curve = error_curve(errors, thresholds)
-                save_error_curve(curve, out_dir / "error_curve.txt")
-                mean_error = float(errors.mean())
-                (out_dir / "eval_summary.txt").write_text(
-                    f"mean_error = {mean_error:.12f}\n"
-                    f"median_error = {float(np.median(errors)):.12f}\n")
-
-        with _guard("export"):
-            export_colored_ply(mesh_x, mesh_y, refined.point_map,
-                               out_dir / "x_colored.ply", out_dir / "y_colored.ply")
+        if config.truth:
+            mean_error = float(_evaluate(config, refined.point_map, mesh_y).mean())
+        _export(config, mesh_x, mesh_y, refined.point_map)
 
     timings = {
         "Basis": t_basis,
@@ -321,56 +336,42 @@ def run_pipeline(config, until="end"):
 
 
 # -- subcommands -------------------------------------------------------------
-
-
-def _cmd_basis(args):
-    mesh = load_mesh(args.mesh)
-    stiffness, masses = cotangent_laplacian(mesh)
-    basis = eigenbasis(stiffness, masses, args.basis_size)
-    save_basis(basis, args.output)
-    print(f"wrote {args.output} ({basis.num_vertices} vertices, "
-          f"{basis.size} functions)")
-    return 0
-
-
-def _cmd_detect(args):
-    mesh = load_mesh(args.mesh)
-    basis = _mesh_basis(mesh, args.basis_cache, args.basis_size)
-    regions = detect_stable_regions(mesh, basis, _detector_params(args))
-    save_regions(regions, args.output)
-    print(f"wrote {args.output} ({len(regions)} regions)")
-    return 0
+# A flag named like a config key sets that key; the rest name command inputs.
 
 
 def _config_from_args(args):
+    config = PipelineConfig()
     if getattr(args, "config", None):
         config = load_config(args.config)
-    else:
-        config = PipelineConfig()
-    for f in fields(PipelineConfig):
-        value = getattr(args, f.name, None)
+    for key in _FIELDS:
+        value = getattr(args, key, None)
         if value is not None:
-            setattr(config, f.name, value)
+            setattr(config, key, value)
     return config
 
 
-def _cmd_match(args):
+def _cmd_basis(args):
+    config = _config_from_args(args)
+    basis = _mesh_basis(load_mesh(args.mesh), "", config.basis_size)
+    save_basis(basis, args.output)
+    print(f"wrote {args.output} ({basis.num_vertices} vertices, {basis.size} functions)")
+
+
+def _cmd_detect(args):
+    config = _config_from_args(args)
+    mesh = load_mesh(args.mesh)
+    basis = _mesh_basis(mesh, args.basis_cache, config.basis_size)
+    regions = detect_stable_regions(mesh, basis, _detector_params(config))
+    save_regions(regions, args.output)
+    print(f"wrote {args.output} ({len(regions)} regions)")
+
+
+def _cmd_pipeline(args):
+    """``run`` and ``match``; region files switch the region source to files."""
     config = _config_from_args(args)
     if args.regions_x or args.regions_y:
         config.region_source = "files"
-    result = run_pipeline(config, until="match")
-    _print_result(result)
-    return 0
-
-
-def _cmd_run(args):
-    config = _config_from_args(args)
-    result = run_pipeline(config)
-    _print_result(result)
-    return 0
-
-
-def _print_result(result):
+    result = run_pipeline(config, until="end" if args.command == "run" else "match")
     print(f"artifacts in {result['out_dir']}")
     for name, seconds in result["timings"].items():
         print(f"{name:<8s} {seconds:8.2f}")
@@ -379,62 +380,48 @@ def _print_result(result):
 
 
 def _cmd_refine(args):
-    basis_x = load_basis(args.basis_x)
-    basis_y = load_basis(args.basis_y)
-    initial = load_functional_map(args.fmap)
-    refined = refine_icp(basis_x, basis_y, initial, max_iters=args.refine_iters)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_point_map(refined.point_map, out_dir / "point_map.txt")
-    save_functional_map(refined.functional_map,
-                        out_dir / "functional_map_refined.txt")
-    print(f"wrote {out_dir / 'point_map.txt'} ({refined.iterations} iterations)")
-    return 0
+    config = _config_from_args(args)
+    refined = _refine(config, load_basis(args.basis_x), load_basis(args.basis_y),
+                      load_functional_map(args.fmap))
+    print(f"wrote {Path(config.out_dir) / 'point_map.txt'} "
+          f"({refined.iterations} iterations)")
 
 
 def _cmd_eval(args):
-    mesh_y = load_mesh(args.mesh_y)
-    predicted = load_point_map(args.map, num_targets=mesh_y.num_vertices)
-    truth = load_point_map(args.truth, num_targets=mesh_y.num_vertices)
-    diameter = shape_diameter(mesh_y, args.diameter_samples)
-    errors = correspondence_error(predicted, truth, mesh_y, diameter)
-    thresholds = np.arange(0.0, args.threshold_max + 1e-9, args.threshold_step)
-    curve = error_curve(errors, thresholds)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_error_curve(curve, out_dir / "error_curve.txt")
-    print(f"mean_error = {errors.mean():.12f}")
-    print(f"median_error = {np.median(errors):.12f}")
+    config = _config_from_args(args)
+    mesh_y = load_mesh(config.mesh_y)
+    _evaluate(config, load_point_map(args.map, num_targets=mesh_y.num_vertices), mesh_y)
+    out_dir = Path(config.out_dir)
+    print((out_dir / "eval_summary.txt").read_text(), end="")
     print(f"wrote {out_dir / 'error_curve.txt'}")
-    return 0
 
 
 def _cmd_export(args):
-    mesh_x = load_mesh(args.mesh_x)
-    mesh_y = load_mesh(args.mesh_y)
+    config = _config_from_args(args)
+    mesh_x = load_mesh(config.mesh_x)
+    mesh_y = load_mesh(config.mesh_y)
     predicted = load_point_map(args.map, num_targets=mesh_y.num_vertices)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    export_colored_ply(mesh_x, mesh_y, predicted,
-                       out_dir / "x_colored.ply", out_dir / "y_colored.ply")
+    _export(config, mesh_x, mesh_y, predicted)
+    out_dir = Path(config.out_dir)
     print(f"wrote {out_dir / 'x_colored.ply'} and {out_dir / 'y_colored.ply'}")
-    return 0
 
 
-def _add_pipeline_flags(sub):
-    """One flag per config key, default None so only set flags override."""
-    sub.add_argument("--config", help="flat key = value config file")
+def _add_config_flags(sub, keys, required=(), dash_o=False):
+    """One flag per config key in ``keys``, default None so only set flags
+    override the config; ``dash_o`` also spells ``--out-dir`` as ``-o``."""
     flag_names = {key: flag for flag, key in _KEY_ALIASES.items()}
-    for f in fields(PipelineConfig):
-        kind = _field_kind(f)
+    for key in keys:
+        kind = _field_kind(_FIELDS[key])
         if kind is bool:
             # boolean keys default to on; the flag turns one off
-            sub.add_argument(f"--no-{f.name}", dest=f.name,
+            sub.add_argument(f"--no-{key}", dest=key,
                              action="store_false", default=None)
-        else:
-            flag = flag_names.get(f.name, f.name).replace("_", "-")
-            sub.add_argument(f"--{flag}", dest=f.name, type=kind,
-                             choices=_CHOICES.get(f.name))
+            continue
+        flags = [f"--{flag_names.get(key, key).replace('_', '-')}"]
+        if dash_o and key == "out_dir":
+            flags.insert(0, "-o")
+        sub.add_argument(*flags, dest=key, type=kind, choices=_CHOICES.get(key),
+                         required=key in required)
 
 
 def build_parser():
@@ -446,78 +433,52 @@ def build_parser():
     p = sub.add_parser("basis", help="compute and cache an eigenbasis")
     p.add_argument("mesh")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--basis-size", dest="basis_size", type=int,
-                   default=DEFAULT_BASIS_SIZE)
+    _add_config_flags(p, ["basis_size"])
 
     p = sub.add_parser("detect", help="detect stable regions")
     p.add_argument("mesh")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--basis-cache", dest="basis_cache", default="")
-    p.add_argument("--basis-size", dest="basis_size", type=int,
-                   default=DEFAULT_BASIS_SIZE)
-    for f in fields(DetectorParams):
-        p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
-                       type=_field_kind(f), default=f.default)
+    _add_config_flags(p, ["basis_size", *(f.name for f in fields(DetectorParams))])
 
-    p = sub.add_parser("match", help="run the pipeline through matching")
-    _add_pipeline_flags(p)
-
-    p = sub.add_parser("run", help="run the full pipeline from a config file")
-    _add_pipeline_flags(p)
+    for name, help_text in (("match", "run the pipeline through matching"),
+                            ("run", "run the full pipeline from a config file")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="flat key = value config file")
+        _add_config_flags(p, _FIELDS)
 
     p = sub.add_parser("refine", help="refine a functional map to a point map")
     p.add_argument("--basis-x", dest="basis_x", required=True)
     p.add_argument("--basis-y", dest="basis_y", required=True)
     p.add_argument("--fmap", required=True)
-    p.add_argument("-o", "--out-dir", dest="out_dir", default=PipelineConfig.out_dir)
-    p.add_argument("--refine-iters", dest="refine_iters", type=int,
-                   default=PipelineConfig.refine_iters)
+    _add_config_flags(p, ["out_dir", "refine_iters"], dash_o=True)
 
     p = sub.add_parser("eval", help="score a point map against ground truth")
     p.add_argument("--map", required=True)
-    p.add_argument("--truth", required=True)
-    p.add_argument("--mesh-y", dest="mesh_y", required=True)
-    p.add_argument("-o", "--out-dir", dest="out_dir", default=PipelineConfig.out_dir)
-    p.add_argument("--diameter-samples", dest="diameter_samples", type=int,
-                   default=PipelineConfig.diameter_samples)
-    p.add_argument("--threshold-max", dest="threshold_max", type=float,
-                   default=PipelineConfig.threshold_max)
-    p.add_argument("--threshold-step", dest="threshold_step", type=float,
-                   default=PipelineConfig.threshold_step)
+    _add_config_flags(p, ["truth", "mesh_y", "out_dir", "diameter_samples",
+                          "threshold_max", "threshold_step"],
+                      required=("truth", "mesh_y"), dash_o=True)
 
     p = sub.add_parser("export", help="write color-matched PLY pairs")
-    p.add_argument("--mesh-x", dest="mesh_x", required=True)
-    p.add_argument("--mesh-y", dest="mesh_y", required=True)
     p.add_argument("--map", required=True)
-    p.add_argument("-o", "--out-dir", dest="out_dir", default=PipelineConfig.out_dir)
+    _add_config_flags(p, ["mesh_x", "mesh_y", "out_dir"],
+                      required=("mesh_x", "mesh_y"), dash_o=True)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "basis": lambda: _cmd_basis(args),
-        "detect": lambda: _cmd_detect(args),
-        "match": lambda: _cmd_match(args),
-        "run": lambda: _cmd_run(args),
-        "refine": lambda: _cmd_refine(args),
-        "eval": lambda: _cmd_eval(args),
-        "export": lambda: _cmd_export(args),
-    }
+    args = build_parser().parse_args(argv)
+    handler = {"basis": _cmd_basis, "detect": _cmd_detect, "match": _cmd_pipeline,
+               "run": _cmd_pipeline, "refine": _cmd_refine, "eval": _cmd_eval,
+               "export": _cmd_export}[args.command]
     try:
-        return handlers[args.command]()
+        with _guard(args.command):
+            handler(args)
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (MeshParseError, MeshValidationError, FileNotFoundError,
-            IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0
 
 
 if __name__ == "__main__":

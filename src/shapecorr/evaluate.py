@@ -47,6 +47,8 @@ class ErrorCurve:
         object.__setattr__(self, "fractions", fractions)
         if thresholds.ndim != 1 or thresholds.shape != fractions.shape:
             raise ValueError("thresholds and fractions must be matching 1-d arrays")
+        if thresholds.size == 0:
+            raise ValueError("thresholds must not be empty")
         if (np.diff(thresholds) <= 0).any():
             raise ValueError("thresholds must be strictly ascending")
         if thresholds[0] < 0 or thresholds[-1] > 0.5:

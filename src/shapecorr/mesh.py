@@ -278,7 +278,8 @@ def read_ply(path):
 
 
 class _Lines:
-    """The content lines of a mesh file, with a cursor over them.
+    """The content lines of a mesh file, with a cursor over them; config,
+    region and point-map files read their lines through it as well.
 
     Each line, numbered as ``str.splitlines`` counts, keeps its text
     before ``cut`` without surrounding blanks; lines then empty or led by

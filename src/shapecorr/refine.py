@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .mesh import _Lines
+
 __all__ = [
     "PointMap",
     "RefineResult",
@@ -242,10 +244,7 @@ def load_point_map(path, num_targets=None):
     it.  When ``num_targets`` is given, indices are validated against it.
     """
     indices = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _Lines(Path(path).read_text(), cut="#").lines:
         try:
             indices.append(int(line))
         except ValueError:

@@ -25,6 +25,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
+from .mesh import _Lines
 from .spectral import project
 
 __all__ = [
@@ -348,10 +349,7 @@ def load_regions(path, mesh):
     with a warning.
     """
     regions = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _Lines(Path(path).read_text(), cut="#").lines:
         try:
             indices = np.unique(np.array(line.split(), dtype=np.int64))
         except ValueError as exc:

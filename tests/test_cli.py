@@ -1,16 +1,19 @@
 """Config parsing, generated flags, pipeline artifacts, and exit codes."""
 
 import argparse
+import inspect
 
 import numpy as np
 import pytest
 
 import _meshes
-from shapecorr import DetectorParams, SolverOptions, save_mesh
-from shapecorr.cli import (PipelineConfig, PipelineError, _detector_params,
-                           _solver_options, build_parser, load_config,
-                           load_functional_map, main, run_pipeline,
-                           save_functional_map)
+from shapecorr import (DEFAULT_THRESHOLDS, DetectorParams, SolverOptions,
+                       default_weights, match, refine_icp, save_mesh,
+                       shape_diameter)
+from shapecorr.cli import (PipelineConfig, PipelineError, _config_from_args,
+                           _detector_params, _solver_options, build_parser,
+                           load_config, load_functional_map, main,
+                           run_pipeline, save_functional_map)
 
 
 @pytest.fixture(scope="module")
@@ -119,19 +122,42 @@ PIPELINE_FLAGS = {
 }
 
 
-def _subparser(name):
+# every flag of every subcommand; positionals appear by name
+SUBCOMMAND_FLAGS = {
+    "basis": {"mesh", "-o", "--output", "--basis-size"},
+    "detect": {"mesh", "-o", "--output", "--basis-cache", "--basis-size",
+               "--num-functions", "--levels", "--stability-tol",
+               "--stability-window", "--min-area-frac", "--dedup-overlap"},
+    "match": PIPELINE_FLAGS,
+    "run": PIPELINE_FLAGS,
+    "refine": {"--basis-x", "--basis-y", "--fmap", "-o", "--out-dir",
+               "--refine-iters"},
+    "eval": {"--map", "--truth", "--mesh-y", "-o", "--out-dir",
+             "--diameter-samples", "--threshold-max", "--threshold-step"},
+    "export": {"--mesh-x", "--mesh-y", "--map", "-o", "--out-dir"},
+}
+
+
+def _subparsers():
     action = next(a for a in build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction))
-    return action.choices[name]
+    return action.choices
+
+
+def _default(function, parameter):
+    return inspect.signature(function).parameters[parameter].default
 
 
 class TestParser:
-    @pytest.mark.parametrize("command", ["run", "match"])
+    def test_subcommands(self):
+        assert set(_subparsers()) == set(SUBCOMMAND_FLAGS)
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
     def test_pipeline_flags(self, command):
-        flags = {opt for action in _subparser(command)._actions
-                 for opt in action.option_strings} - {"-h", "--help"}
+        flags = {opt for action in _subparsers()[command]._actions
+                 for opt in action.option_strings or [action.dest]}
         assert len(PIPELINE_FLAGS) == 30
-        assert flags == PIPELINE_FLAGS
+        assert flags - {"-h", "--help"} == SUBCOMMAND_FLAGS[command]
 
     def test_pipeline_flags_parse_typed(self):
         args = build_parser().parse_args(
@@ -148,25 +174,32 @@ class TestParser:
 
     def test_detect_defaults(self):
         args = build_parser().parse_args(["detect", "m.off", "-o", "r.txt"])
-        assert _detector_params(args) == DetectorParams()
+        assert _detector_params(_config_from_args(args)) == DetectorParams()
 
     def test_config_defaults_match_stage_defaults(self):
         config = PipelineConfig()
         assert _detector_params(config) == DetectorParams()
         assert _solver_options(config) == SolverOptions()
 
-    def test_refine_and_eval_defaults(self):
+    def test_config_defaults_match_library_defaults(self):
         config = PipelineConfig()
+        assert config.weight_p == _default(default_weights, "power")
+        assert config.prune_ratio == _default(match, "prune_ratio")
+        assert config.max_outer == _default(match, "max_outer")
+        assert config.outer_tol == _default(match, "outer_tol")
+        assert config.refine_iters == _default(refine_icp, "max_iters")
+        assert config.diameter_samples == _default(shape_diameter, "sample_count")
+        thresholds = np.arange(0.0, config.threshold_max + 1e-9,
+                               config.threshold_step)
+        assert np.array_equal(thresholds, DEFAULT_THRESHOLDS)
+
+    def test_refine_and_eval_defaults(self):
         args = build_parser().parse_args(
             ["refine", "--basis-x", "a", "--basis-y", "b", "--fmap", "f"])
-        assert (args.out_dir, args.refine_iters) == (
-            config.out_dir, config.refine_iters)
+        assert _config_from_args(args) == PipelineConfig()
         args = build_parser().parse_args(
             ["eval", "--map", "p", "--truth", "t", "--mesh-y", "y"])
-        assert (args.out_dir, args.diameter_samples, args.threshold_max,
-                args.threshold_step) == (
-            config.out_dir, config.diameter_samples, config.threshold_max,
-            config.threshold_step)
+        assert _config_from_args(args) == PipelineConfig(truth="t", mesh_y="y")
 
 
 class TestFunctionalMapIO:
@@ -255,7 +288,55 @@ class TestPipeline:
         assert info.value.exit_code == 2
 
 
+# (argv, exit code, stderr text); {file} is an existing plain file
+FAILURES = [
+    ("run --config {cfg} --out-dir {file}", 2, "stage output: [Errno 17]"),
+    ("run --config {cfg} --out-dir {file}/out", 2, "stage output: [Errno 20]"),
+    ("match --config {cfg} --out-dir {file}", 2, "stage output: [Errno 17]"),
+    ("refine --basis-x {bx} --basis-y {by} --fmap {fmap} -o {file}", 2,
+     "stage output: [Errno 17]"),
+    ("eval --map {map} --truth {truth} --mesh-y {y} -o {file}", 2,
+     "stage output: [Errno 17]"),
+    ("export --mesh-x {x} --mesh-y {y} --map {map} -o {file}/ex", 2,
+     "stage output: [Errno 20]"),
+    ("basis {x} -o {file}/b.bin", 2, "stage basis: [Errno 20]"),
+    ("eval --map {map} --truth {truth} --mesh-y {y} -o {tmp}/ev "
+     "--threshold-step 0", 1, "stage evaluate: float division by zero"),
+    ("eval --map {map} --truth {truth} --mesh-y {y} -o {tmp}/ev "
+     "--threshold-step -0.01", 1, "stage evaluate: thresholds must not be empty"),
+    ("run --config {cfg} --out-dir {tmp}/out --threshold-step -0.01", 1,
+     "stage evaluate: thresholds must not be empty"),
+]
+
+
 class TestMain:
+    @pytest.mark.parametrize("argv, code, message", FAILURES)
+    def test_failure_exit_codes(self, env, ran, tmp_path, capsys, argv, code,
+                                message):
+        (tmp_path / "file").write_text("not a directory\n")
+        out_a = env["tmp"] / "out"
+        paths = {"tmp": tmp_path, "file": tmp_path / "file",
+                 "cfg": env["tmp"] / "config.cfg", "x": env["tmp"] / "x.off",
+                 "y": env["tmp"] / "y.off", "truth": env["tmp"] / "truth.txt",
+                 "bx": env["tmp"] / "bx.bin", "by": env["tmp"] / "by.bin",
+                 "fmap": out_a / "functional_map.txt",
+                 "map": out_a / "point_map.txt"}
+        assert main(argv.format(**paths).split()) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+
+    def test_run_with_region_files(self, env, ran, tmp_path):
+        # the first 12 of the detected regions, header line kept
+        lines = (env["tmp"] / "out" / "regions_x.txt").read_text().splitlines()
+        regions = tmp_path / "regions.txt"
+        regions.write_text("\n".join(lines[:13]) + "\n")
+        code = main(["run", "--config", str(env["tmp"] / "config.cfg"),
+                     "--out-dir", str(tmp_path / "out"),
+                     "--regions-x", str(regions), "--regions-y", str(regions)])
+        assert code == 0
+        for name in ("regions_x.txt", "regions_y.txt"):
+            assert (tmp_path / "out" / name).read_text() == regions.read_text()
+
     def test_run_subcommand(self, env, tmp_path, capsys):
         code = main(["run", "--config", str(env["tmp"] / "config.cfg"),
                      "--out-dir", str(tmp_path / "out")])

@@ -26,6 +26,8 @@ class TestErrorCurveClass:
         good_t = np.array([0.0, 0.1])
         with pytest.raises(ValueError, match="matching 1-d"):
             ErrorCurve(good_t, np.array([0.5]))
+        with pytest.raises(ValueError, match="not be empty"):
+            ErrorCurve(np.array([]), np.array([]))
         with pytest.raises(ValueError, match="strictly ascending"):
             ErrorCurve(np.array([0.1, 0.1]), np.array([0.5, 1.0]))
         with pytest.raises(ValueError, match=r"\[0, 0.5\]"):
