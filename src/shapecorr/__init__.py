@@ -15,8 +15,7 @@ from .evaluate import (DEFAULT_THRESHOLDS, ErrorCurve, correspondence_error,
                        error_curve, export_colored_ply, save_error_curve)
 from .matcher import MatchResult, match, write_match_report
 from .mesh import (Mesh, MeshParseError, MeshValidationError,
-                   geodesic_distance_matrix, load_mesh, read_ply, save_mesh,
-                   shape_diameter)
+                   geodesic_distance_matrix, load_mesh, save_mesh, shape_diameter)
 from .pursuit import (PursuitResult, SolverOptions, default_weights, objective,
                       prox_l21_rows, prox_weighted_l1, resolve_penalties,
                       solve_robust_sparse_coding, step_size)

@@ -3,8 +3,10 @@
 Subcommands cover each stage (basis, detect, match, refine, eval, export)
 plus ``run``, which chains the same stage bodies from a flat ``key = value``
 config file; a flag overrides the config key of the same name.  Exit codes:
-0 success, 1 computational failure, 2 usage, configuration or file error,
-an ``out_dir`` that cannot be created included.  Errors name their stage.
+0 success, 1 computational failure, 2 usage, configuration or file error
+(a bad config value or input file, which ``run`` finds before any
+eigensolve, or an ``out_dir`` that cannot be created).  Errors name their
+stage.
 """
 
 from __future__ import annotations
@@ -13,13 +15,13 @@ import argparse
 import contextlib
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .evaluate import (correspondence_error, error_curve, export_colored_ply,
-                       save_error_curve)
+from .evaluate import (ErrorCurve, correspondence_error, error_curve,
+                       export_colored_ply, save_error_curve)
 from .matcher import match, write_match_report
 from .mesh import (MeshParseError, MeshValidationError, _Lines, load_mesh,
                    shape_diameter)
@@ -117,21 +119,18 @@ def _parse_value(key, raw, kind):
 def load_config(path):
     """Parse a flat ``key = value`` config file into a PipelineConfig."""
     config = PipelineConfig()
-    with _guard("config"):
-        text = Path(path).read_text()
-    for lineno, line in _Lines(text, cut="#").lines:
-        if "=" not in line:
-            raise PipelineError(
-                "config", f"{path}:{lineno}: expected 'key = value'", exit_code=2)
-        key, _, value = line.partition("=")
-        key = _KEY_ALIASES.get(key.strip(), key.strip())
-        if key not in _FIELDS:
-            raise PipelineError(
-                "config", f"{path}:{lineno}: unknown key {key!r}", exit_code=2)
-        try:
-            setattr(config, key, _parse_value(key, value, _field_kind(_FIELDS[key])))
-        except ValueError as exc:
-            raise PipelineError("config", f"{path}:{lineno}: {exc}", exit_code=2) from exc
+    with _guard("config", reading=True):
+        for lineno, line in _Lines(Path(path).read_text(), cut="#").lines:
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            key = _KEY_ALIASES.get(key.strip(), key.strip())
+            if key not in _FIELDS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                setattr(config, key, _parse_value(key, value, _field_kind(_FIELDS[key])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return config
 
 
@@ -145,6 +144,16 @@ def _solver_options(config):
                          max_iter=config.max_iter, accelerated=config.accel)
 
 
+def _thresholds(config):
+    """The error-curve grid 0, step, ... up to threshold_max, as ErrorCurve checks it."""
+    try:
+        grid = np.arange(0.0, config.threshold_max + 1e-9, config.threshold_step)
+        return ErrorCurve(grid, np.zeros_like(grid)).thresholds
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"threshold_max {config.threshold_max}, "
+                         f"threshold_step {config.threshold_step}: {exc}") from None
+
+
 def save_functional_map(functional_map, path):
     np.savetxt(path, np.asarray(functional_map), fmt=_FMAP_FMT)
 
@@ -156,43 +165,38 @@ def load_functional_map(path):
     return mat
 
 
-def _exit_code(exc):
-    """2 for input that cannot be read, parsed or written; 1 for a failed
-    computation; None for anything else, a PipelineError included."""
-    if isinstance(exc, (OSError, MeshParseError, MeshValidationError)):
-        return 2
-    if isinstance(exc, (ValueError, RuntimeError, ArithmeticError)):
-        return 1
-    return None
-
-
 @contextlib.contextmanager
-def _guard(stage):
-    """Re-raise a stage failure as a PipelineError naming the stage."""
+def _guard(stage, reading=False):
+    """Re-raise a stage failure as a PipelineError naming the stage.
+
+    Exit 2 for a file that cannot be read or written, a mesh that cannot
+    be parsed, and any failure while ``reading`` the config or an input
+    file; exit 1 for a failed computation.  Anything else propagates, a
+    PipelineError included.
+    """
     try:
         yield
-    except Exception as exc:
-        code = _exit_code(exc)
-        if code is None:
-            raise
-        raise PipelineError(stage, str(exc), exit_code=code) from exc
+    except (OSError, MeshParseError, MeshValidationError) as exc:
+        raise PipelineError(stage, str(exc), exit_code=2) from exc
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        raise PipelineError(stage, str(exc), exit_code=2 if reading else 1) from exc
 
 
 def _mesh_basis(mesh, cache_path, size):
     """Basis from cache when available, else computed (and cached if asked)."""
     if cache_path and Path(cache_path).exists():
-        basis = load_basis(cache_path)
-        if basis.num_vertices != mesh.num_vertices:
-            raise ValueError(
-                f"{cache_path}: cache has {basis.num_vertices} vertices, "
-                f"mesh has {mesh.num_vertices}")
-        if basis.size < size:
-            raise ValueError(
-                f"{cache_path}: cache holds {basis.size} functions, need {size}")
+        with _guard("basis", reading=True):
+            basis = load_basis(cache_path)
+            if basis.num_vertices != mesh.num_vertices:
+                raise ValueError(
+                    f"{cache_path}: cache has {basis.num_vertices} vertices, "
+                    f"mesh has {mesh.num_vertices}")
+            if basis.size < size:
+                raise ValueError(
+                    f"{cache_path}: cache holds {basis.size} functions, need {size}")
         if basis.size > size:
-            basis = type(basis)(functions=basis.functions[:, :size],
-                                eigenvalues=basis.eigenvalues[:size],
-                                masses=basis.masses)
+            basis = replace(basis, functions=basis.functions[:, :size],
+                            eigenvalues=basis.eigenvalues[:size])
         return basis
     stiffness, masses = cotangent_laplacian(mesh)
     basis = eigenbasis(stiffness, masses, size)
@@ -221,15 +225,13 @@ def _refine(config, basis_x, basis_y, functional_map):
     return refined
 
 
-def _evaluate(config, point_map, mesh_y):
-    """Errors against ``config.truth``; writes the curve and the summary."""
+def _evaluate(config, point_map, mesh_y, truth):
+    """Errors against ``truth``; writes the curve and the summary."""
     out_dir = _out_dir(config)
     with _guard("evaluate"):
-        truth = load_point_map(config.truth, num_targets=mesh_y.num_vertices)
         diameter = shape_diameter(mesh_y, config.diameter_samples)
         errors = correspondence_error(point_map, truth, mesh_y, diameter)
-        thresholds = np.arange(0.0, config.threshold_max + 1e-9, config.threshold_step)
-        save_error_curve(error_curve(errors, thresholds), out_dir / "error_curve.txt")
+        save_error_curve(error_curve(errors, _thresholds(config)), out_dir / "error_curve.txt")
         (out_dir / "eval_summary.txt").write_text(
             f"mean_error = {float(errors.mean()):.12f}\n"
             f"median_error = {float(np.median(errors)):.12f}\n")
@@ -255,16 +257,31 @@ def run_pipeline(config, until="end"):
     if until not in ("match", "end"):
         raise ValueError(f"unknown pipeline stop point {until!r}")
     t_total = time.perf_counter()
+    with _guard("config", reading=True):
+        if config.region_source not in _CHOICES["region_source"]:
+            raise ValueError(f"unknown region_source {config.region_source!r}")
+        if config.region_source == "files" and not (config.regions_x and config.regions_y):
+            raise ValueError("region_source=files needs regions_x and regions_y")
+        params = _detector_params(config)
+        options = _solver_options(config)
+        _thresholds(config)
     out_dir = _out_dir(config)
 
-    with _guard("load"):
+    with _guard("load", reading=True):
         if not config.mesh_x or not config.mesh_y:
-            raise PipelineError("load", "mesh_x and mesh_y are required", exit_code=2)
+            raise ValueError("mesh_x and mesh_y are required")
         for path in (config.mesh_x, config.mesh_y):
             if not Path(path).exists():
                 raise FileNotFoundError(f"mesh file not found: {path}")
         mesh_x = load_mesh(config.mesh_x)
         mesh_y = load_mesh(config.mesh_y)
+    if config.region_source == "files":
+        with _guard("regions", reading=True):
+            regions_x = load_regions(config.regions_x, mesh_x)
+            regions_y = load_regions(config.regions_y, mesh_y)
+    if config.truth and until == "end":
+        with _guard("evaluate", reading=True):
+            truth = load_point_map(config.truth, num_targets=mesh_y.num_vertices)
 
     t0 = time.perf_counter()
     with _guard("basis"):
@@ -274,21 +291,9 @@ def run_pipeline(config, until="end"):
 
     t0 = time.perf_counter()
     with _guard("regions"):
-        if config.region_source == "files":
-            if not config.regions_x or not config.regions_y:
-                raise PipelineError(
-                    "regions", "region_source=files needs regions_x and regions_y",
-                    exit_code=2)
-            regions_x = load_regions(config.regions_x, mesh_x)
-            regions_y = load_regions(config.regions_y, mesh_y)
-        elif config.region_source == "detect":
-            params = _detector_params(config)
+        if config.region_source == "detect":
             regions_x = detect_stable_regions(mesh_x, basis_x, params)
             regions_y = detect_stable_regions(mesh_y, basis_y, params)
-        else:
-            raise PipelineError(
-                "regions", f"unknown region_source {config.region_source!r}",
-                exit_code=2)
         save_regions(regions_x, out_dir / "regions_x.txt")
         save_regions(regions_y, out_dir / "regions_y.txt")
     t_regions = time.perf_counter() - t0
@@ -299,7 +304,7 @@ def run_pipeline(config, until="end"):
         coeffs_y = region_coefficients(regions_y, basis_y)
         weights = default_weights(config.basis_size, config.weight_p)
         result = match(coeffs_x, coeffs_y, regions_x, regions_y,
-                       weights=weights, options=_solver_options(config),
+                       weights=weights, options=options,
                        prune_ratio=config.prune_ratio,
                        max_outer=config.max_outer, outer_tol=config.outer_tol)
         write_match_report(result, out_dir / "match_report.txt")
@@ -313,7 +318,7 @@ def run_pipeline(config, until="end"):
         refined = _refine(config, basis_x, basis_y, result.functional_map)
         t_refine = time.perf_counter() - t0
         if config.truth:
-            mean_error = float(_evaluate(config, refined.point_map, mesh_y).mean())
+            mean_error = float(_evaluate(config, refined.point_map, mesh_y, truth).mean())
         _export(config, mesh_x, mesh_y, refined.point_map)
 
     timings = {
@@ -323,9 +328,8 @@ def run_pipeline(config, until="end"):
         "Ref.": t_refine,
         "Tot.": time.perf_counter() - t_total,
     }
-    with open(out_dir / "timings.txt", "w") as fh:
-        for name, seconds in timings.items():
-            fh.write(f"{name:<8s} {seconds:8.2f}\n")
+    (out_dir / "timings.txt").write_text(
+        "".join(f"{name:<8s} {seconds:8.2f}\n" for name, seconds in timings.items()))
 
     return {
         "out_dir": out_dir,
@@ -352,16 +356,20 @@ def _config_from_args(args):
 
 def _cmd_basis(args):
     config = _config_from_args(args)
-    basis = _mesh_basis(load_mesh(args.mesh), "", config.basis_size)
+    with _guard(args.command, reading=True):
+        mesh = load_mesh(args.mesh)
+    basis = _mesh_basis(mesh, "", config.basis_size)
     save_basis(basis, args.output)
     print(f"wrote {args.output} ({basis.num_vertices} vertices, {basis.size} functions)")
 
 
 def _cmd_detect(args):
     config = _config_from_args(args)
-    mesh = load_mesh(args.mesh)
+    with _guard(args.command, reading=True):
+        params = _detector_params(config)
+        mesh = load_mesh(args.mesh)
     basis = _mesh_basis(mesh, args.basis_cache, config.basis_size)
-    regions = detect_stable_regions(mesh, basis, _detector_params(config))
+    regions = detect_stable_regions(mesh, basis, params)
     save_regions(regions, args.output)
     print(f"wrote {args.output} ({len(regions)} regions)")
 
@@ -373,24 +381,29 @@ def _cmd_pipeline(args):
         config.region_source = "files"
     result = run_pipeline(config, until="end" if args.command == "run" else "match")
     print(f"artifacts in {result['out_dir']}")
-    for name, seconds in result["timings"].items():
-        print(f"{name:<8s} {seconds:8.2f}")
+    print((result["out_dir"] / "timings.txt").read_text(), end="")
     if result["mean_error"] is not None:
         print(f"mean normalized error: {result['mean_error']:.6f}")
 
 
 def _cmd_refine(args):
     config = _config_from_args(args)
-    refined = _refine(config, load_basis(args.basis_x), load_basis(args.basis_y),
-                      load_functional_map(args.fmap))
+    with _guard(args.command, reading=True):
+        inputs = (load_basis(args.basis_x), load_basis(args.basis_y),
+                  load_functional_map(args.fmap))
+    refined = _refine(config, *inputs)
     print(f"wrote {Path(config.out_dir) / 'point_map.txt'} "
           f"({refined.iterations} iterations)")
 
 
 def _cmd_eval(args):
     config = _config_from_args(args)
-    mesh_y = load_mesh(config.mesh_y)
-    _evaluate(config, load_point_map(args.map, num_targets=mesh_y.num_vertices), mesh_y)
+    with _guard(args.command, reading=True):
+        _thresholds(config)
+        mesh_y = load_mesh(config.mesh_y)
+        truth = load_point_map(config.truth, num_targets=mesh_y.num_vertices)
+        predicted = load_point_map(args.map, num_targets=mesh_y.num_vertices)
+    _evaluate(config, predicted, mesh_y, truth)
     out_dir = Path(config.out_dir)
     print((out_dir / "eval_summary.txt").read_text(), end="")
     print(f"wrote {out_dir / 'error_curve.txt'}")
@@ -398,9 +411,10 @@ def _cmd_eval(args):
 
 def _cmd_export(args):
     config = _config_from_args(args)
-    mesh_x = load_mesh(config.mesh_x)
-    mesh_y = load_mesh(config.mesh_y)
-    predicted = load_point_map(args.map, num_targets=mesh_y.num_vertices)
+    with _guard(args.command, reading=True):
+        mesh_x = load_mesh(config.mesh_x)
+        mesh_y = load_mesh(config.mesh_y)
+        predicted = load_point_map(args.map, num_targets=mesh_y.num_vertices)
     _export(config, mesh_x, mesh_y, predicted)
     out_dir = Path(config.out_dir)
     print(f"wrote {out_dir / 'x_colored.ply'} and {out_dir / 'y_colored.ply'}")

@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .assignment import Assignment, build_profit, prune, solve_assignment
-from .pursuit import (SolverOptions, default_weights, resolve_penalties,
-                      solve_robust_sparse_coding)
+from .pursuit import SolverOptions, resolve_penalties, solve_robust_sparse_coding
 
 __all__ = [
     "MatchResult",
@@ -75,7 +74,7 @@ def match(coeffs_x, coeffs_y, regions_x=None, regions_y=None, weights=None,
     B = np.asarray(coeffs_y, dtype=np.float64)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
         raise ValueError(f"incompatible coefficient shapes {A.shape} and {B.shape}")
-    q, n = A.shape
+    q = A.shape[0]
     r = B.shape[0]
     if q > r:
         inner = match(B, A, regions_y, regions_x, weights=weights,
@@ -88,19 +87,13 @@ def match(coeffs_x, coeffs_y, regions_x=None, regions_y=None, weights=None,
                        swapped=True)
 
     options = options or SolverOptions()
-    if weights is None:
-        weights = default_weights(n)
     mask = None
     if regions_x is not None and regions_y is not None and prune_ratio is not None:
         mask = prune(regions_x, regions_y, prune_ratio)
 
     # uniform row-stochastic start: every reordered row is the column mean
     target = np.full((q, r), 1.0 / r) @ B
-    lam, mu = options.lam, options.mu
-    if lam is None or mu is None:
-        auto_lam, auto_mu = resolve_penalties(A, target)
-        lam = auto_lam if lam is None else lam
-        mu = auto_mu if mu is None else mu
+    lam, mu = resolve_penalties(A, target, options.lam, options.mu)
     options = replace(options, lam=lam, mu=mu)
 
     warm_map = None

@@ -1,11 +1,11 @@
 """Triangle mesh loading, validation, measures, and edge-graph geodesics.
 
 A :class:`Mesh` is immutable after construction: the vertex and triangle
-arrays are marked read-only and every derived quantity (areas, adjacency,
-edge lengths) is cached on first use, so instances can be shared freely
-between threads.  Construction and measures are whole-array numpy: the
-edges and their face counts come from one ``np.unique`` over integer edge
-keys, and vertex areas from one ``np.bincount``.
+arrays are marked read-only and every derived quantity (areas, edges,
+the edge-length graph) is cached on first use, so instances can be shared
+freely between threads.  Construction and measures are whole-array numpy:
+the edges and their face counts come from one ``np.unique`` over integer
+edge keys, and vertex areas from one ``np.bincount``.
 
 The readers take a file's content lines from ``str.splitlines``, with
 blanks and comments dropped.  The OFF and ASCII PLY readers hand each
@@ -33,7 +33,6 @@ __all__ = [
     "MeshValidationError",
     "load_mesh",
     "save_mesh",
-    "read_ply",
     "geodesic_distance_matrix",
     "shape_diameter",
 ]
@@ -41,8 +40,6 @@ __all__ = [
 # full round-trip precision for float64 text output
 _FLOAT_FMT = "%.17g"
 _VERTEX_FMT = " ".join([_FLOAT_FMT] * 3)
-
-_FORMATS = ("off", "obj", "ply")
 
 
 class MeshParseError(ValueError):
@@ -123,7 +120,7 @@ class Mesh:
             raise MeshValidationError(
                 f"edge ({i}, {j}) is shared by {int(counts[bad])} faces; "
                 "the mesh is not edge-manifold")
-        n_comp, labels = csgraph.connected_components(self.adjacency, directed=False)
+        n_comp, labels = csgraph.connected_components(self.edge_graph, directed=False)
         if n_comp != 1:
             stray = int(np.flatnonzero(labels != labels[0])[0])
             raise MeshValidationError(
@@ -165,16 +162,6 @@ class Mesh:
     def edges(self):
         """Unique undirected edges as sorted index pairs, shape (e, 2)."""
         return np.column_stack(np.divmod(self._edge_counts[0], self.num_vertices))
-
-    @cached_property
-    def adjacency(self):
-        """Unweighted vertex adjacency, symmetric CSR of 0/1."""
-        e = self.edges
-        m = self.num_vertices
-        data = np.ones(2 * len(e), dtype=np.int8)
-        rows = np.concatenate([e[:, 0], e[:, 1]])
-        cols = np.concatenate([e[:, 1], e[:, 0]])
-        return sparse.csr_matrix((data, (rows, cols)), shape=(m, m))
 
     @cached_property
     def edge_graph(self):
@@ -220,13 +207,16 @@ def shape_diameter(mesh, sample_count=32):
 # -- file formats ----------------------------------------------------------
 
 
-def _format_from_path(path):
-    ext = Path(path).suffix.lower().lstrip(".")
-    if ext not in _FORMATS:
-        raise ValueError(
-            f"cannot infer mesh format from extension {ext!r}; "
-            f"pass format= one of {_FORMATS}")
-    return ext
+def _format(path, format):
+    """``format``, else the extension of ``path``, as a known format name."""
+    formats = tuple(_READERS)
+    fmt = (format or Path(path).suffix.lstrip(".")).lower()
+    if fmt in formats:
+        return fmt
+    if format:
+        raise ValueError(f"unknown mesh format {format!r}; expected one of {formats}")
+    raise ValueError(f"cannot infer mesh format from extension {fmt!r}; "
+                     f"pass format= one of {formats}")
 
 
 def load_mesh(path, format=None):
@@ -234,16 +224,8 @@ def load_mesh(path, format=None):
 
     ``format`` is inferred from the file extension when omitted.
     """
-    fmt = (format or _format_from_path(path)).lower()
-    if fmt not in _FORMATS:
-        raise ValueError(f"unknown mesh format {format!r}; expected one of {_FORMATS}")
-    text = Path(path).read_text()
-    if fmt == "off":
-        verts, tris = _parse_off(text)
-    elif fmt == "obj":
-        verts, tris = _parse_obj(text)
-    else:
-        verts, tris, _ = _parse_ply(text)
+    reader = _READERS[_format(path, format)]
+    verts, tris = reader(Path(path).read_text())[:2]
     return Mesh(verts, tris)
 
 
@@ -254,27 +236,10 @@ def save_mesh(mesh, path, format=None, colors=None):
     load after save reproduces them bit for bit.  ``colors`` is an (m, 3)
     uint8 array of per-vertex RGB and is supported for PLY only.
     """
-    fmt = (format or _format_from_path(path)).lower()
-    if fmt not in _FORMATS:
-        raise ValueError(f"unknown mesh format {format!r}; expected one of {_FORMATS}")
+    fmt = _format(path, format)
     if colors is not None and fmt != "ply":
         raise ValueError("per-vertex colors are only supported by the PLY writer")
-    if fmt == "off":
-        text = _emit_off(mesh)
-    elif fmt == "obj":
-        text = _emit_obj(mesh)
-    else:
-        text = _emit_ply(mesh, colors)
-    Path(path).write_text(text)
-
-
-def read_ply(path):
-    """Read an ASCII PLY file, returning (vertices, triangles, colors).
-
-    ``colors`` is an (m, 3) uint8 array when the file carries red, green
-    and blue vertex properties, else None.
-    """
-    return _parse_ply(Path(path).read_text())
+    Path(path).write_text(_WRITERS[fmt](mesh) if colors is None else _emit_ply(mesh, colors))
 
 
 class _Lines:
@@ -541,3 +506,9 @@ def _emit_ply(mesh, colors=None):
         "end_header",
     ]
     return "\n".join(header) + "\n" + vertices + _format_rows("3 %d %d %d", mesh.triangles)
+
+
+# format name -> text parser, whose first two results are the arrays
+_READERS = {"off": _parse_off, "obj": _parse_obj, "ply": _parse_ply}
+# format name -> text writer
+_WRITERS = {"off": _emit_off, "obj": _emit_obj, "ply": _emit_ply}

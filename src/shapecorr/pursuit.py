@@ -143,17 +143,20 @@ def objective(dictionary, target, functional_map, outliers, weights, lam, mu):
             + mu * float(np.sum(np.linalg.norm(outliers, axis=1))))
 
 
-def resolve_penalties(dictionary, target):
-    """Data-scaled default penalties.
+def resolve_penalties(dictionary, target, lam=None, mu=None):
+    """``lam`` and ``mu``, each data-scaled when None.
 
-    lam is a tenth of the largest correlation |A^T Bp|, mu a tenth of the
-    largest row norm of Bp, so both shrinkages engage at comparable
-    magnitudes regardless of input scaling.
+    The default lam is a tenth of the largest correlation |A^T Bp|, the
+    default mu a tenth of the largest row norm of Bp, so both shrinkages
+    engage at comparable magnitudes regardless of input scaling.  A given
+    value passes through unchanged.
     """
     A = np.asarray(dictionary, dtype=np.float64)
     Bp = np.asarray(target, dtype=np.float64)
-    lam = 0.1 * float(np.abs(A.T @ Bp).max())
-    mu = 0.1 * float(np.linalg.norm(Bp, axis=1).max())
+    if lam is None:
+        lam = 0.1 * float(np.abs(A.T @ Bp).max())
+    if mu is None:
+        mu = 0.1 * float(np.linalg.norm(Bp, axis=1).max())
     return lam, mu
 
 
@@ -183,11 +186,7 @@ def solve_robust_sparse_coding(dictionary, target, weights=None, options=None,
     if weights.shape != (n, n):
         raise ValueError(f"weights must be ({n}, {n}), got {weights.shape}")
     options = options or SolverOptions()
-    lam, mu = options.lam, options.mu
-    if lam is None or mu is None:
-        auto_lam, auto_mu = resolve_penalties(A, Bp)
-        lam = auto_lam if lam is None else lam
-        mu = auto_mu if mu is None else mu
+    lam, mu = resolve_penalties(A, Bp, options.lam, options.mu)
 
     C = np.zeros((n, n)) if initial_map is None else np.array(initial_map, dtype=np.float64)
     O = Bp.copy() if initial_outliers is None else np.array(initial_outliers, dtype=np.float64)

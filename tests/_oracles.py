@@ -145,7 +145,7 @@ def stable_components_levelwise(mesh, phi, params):
         return  # constant function has no level-set structure
     thresholds = np.linspace(hi, lo, params.levels)
     areas = mesh.vertex_areas
-    adjacency = mesh.adjacency
+    adjacency = mesh.edge_graph
 
     # per level: full-length component labels (-1 outside the superlevel set)
     labels_per_level = []
@@ -242,7 +242,7 @@ def connected_flags_per_region(regions, mesh):
     """``RegionSet.connected_flags`` from one induced subgraph per region."""
     flags = np.empty(len(regions), dtype=bool)
     for i, row in enumerate(regions.members):
-        sub = mesh.adjacency[row][:, row]
+        sub = mesh.edge_graph[row][:, row]
         n_comp, _ = csgraph.connected_components(sub, directed=False)
         flags[i] = n_comp == 1
     return flags

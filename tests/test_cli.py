@@ -10,6 +10,7 @@ import _meshes
 from shapecorr import (DEFAULT_THRESHOLDS, DetectorParams, SolverOptions,
                        default_weights, match, refine_icp, save_mesh,
                        shape_diameter)
+from shapecorr import cli
 from shapecorr.cli import (PipelineConfig, PipelineError, _config_from_args,
                            _detector_params, _solver_options, build_parser,
                            load_config, load_functional_map, main,
@@ -288,7 +289,9 @@ class TestPipeline:
         assert info.value.exit_code == 2
 
 
-# (argv, exit code, stderr text); {file} is an existing plain file
+# (argv, exit code, stderr text); {file} is an existing plain file, {guess}
+# the env config with an unknown region_source, {regions} a region file
+# with a bad index on line 2
 FAILURES = [
     ("run --config {cfg} --out-dir {file}", 2, "stage output: [Errno 17]"),
     ("run --config {cfg} --out-dir {file}/out", 2, "stage output: [Errno 20]"),
@@ -301,29 +304,64 @@ FAILURES = [
      "stage output: [Errno 20]"),
     ("basis {x} -o {file}/b.bin", 2, "stage basis: [Errno 20]"),
     ("eval --map {map} --truth {truth} --mesh-y {y} -o {tmp}/ev "
-     "--threshold-step 0", 1, "stage evaluate: float division by zero"),
+     "--threshold-step 0", 2,
+     "stage eval: threshold_max 0.25, threshold_step 0.0: float division by zero"),
     ("eval --map {map} --truth {truth} --mesh-y {y} -o {tmp}/ev "
-     "--threshold-step -0.01", 1, "stage evaluate: thresholds must not be empty"),
-    ("run --config {cfg} --out-dir {tmp}/out --threshold-step -0.01", 1,
-     "stage evaluate: thresholds must not be empty"),
+     "--threshold-step -0.01", 2, "stage eval: threshold_max 0.25, "
+     "threshold_step -0.01: thresholds must not be empty"),
+    ("run --config {cfg} --out-dir {tmp}/out --threshold-step -0.01", 2,
+     "stage config: threshold_max 0.25, threshold_step -0.01: thresholds must not be empty"),
+    ("run --config {cfg} --out-dir {tmp}/out --threshold-max -1", 2,
+     "stage config: threshold_max -1.0, threshold_step 0.01: thresholds must not be empty"),
+    ("run --config {cfg} --out-dir {tmp}/out --threshold-max 0.6", 2,
+     "stage config: threshold_max 0.6, threshold_step 0.01: thresholds must lie in"),
+    ("run --config {guess} --out-dir {tmp}/out", 2,
+     "stage config: unknown region_source 'guess'"),
+    ("run --config {cfg} --out-dir {tmp}/out --regions-x {regions}", 2,
+     "stage config: region_source=files needs regions_x and regions_y"),
+    ("run --config {cfg} --out-dir {tmp}/out --levels 2", 2,
+     "stage config: levels must be at least stability_window"),
+    ("run --config {cfg} --out-dir {tmp}/out --max-iter 0", 2,
+     "stage config: max_iter must be positive"),
+    ("run --config {cfg} --out-dir {tmp}/out --regions-x {regions} "
+     "--regions-y {regions}", 2, "stage regions: {regions}:2: bad vertex index"),
+    ("run --config {cfg} --out-dir {tmp}/out --truth {file}", 2,
+     "stage evaluate: {file}:1: expected a vertex index"),
+    ("eval --map {file} --truth {truth} --mesh-y {y} -o {tmp}/ev", 2,
+     "stage eval: {file}:1: expected a vertex index"),
+    ("refine --basis-x {file} --basis-y {by} --fmap {fmap} -o {tmp}/ref", 2,
+     "stage refine: {file}: not a basis cache file"),
+    ("refine --basis-x {bx} --basis-y {by} --fmap {file} -o {tmp}/ref", 2,
+     "stage refine: could not convert string"),
 ]
 
 
 class TestMain:
     @pytest.mark.parametrize("argv, code, message", FAILURES)
-    def test_failure_exit_codes(self, env, ran, tmp_path, capsys, argv, code,
-                                message):
+    def test_failure_exit_codes(self, env, ran, tmp_path, capsys, monkeypatch,
+                                argv, code, message):
         (tmp_path / "file").write_text("not a directory\n")
+        config_text = (env["tmp"] / "config.cfg").read_text()
+        (tmp_path / "guess.cfg").write_text(config_text + "region_source = guess\n")
+        (tmp_path / "regions.txt").write_text("0 1 2\n0 x 3\n")
         out_a = env["tmp"] / "out"
         paths = {"tmp": tmp_path, "file": tmp_path / "file",
                  "cfg": env["tmp"] / "config.cfg", "x": env["tmp"] / "x.off",
                  "y": env["tmp"] / "y.off", "truth": env["tmp"] / "truth.txt",
                  "bx": env["tmp"] / "bx.bin", "by": env["tmp"] / "by.bin",
                  "fmap": out_a / "functional_map.txt",
-                 "map": out_a / "point_map.txt"}
+                 "map": out_a / "point_map.txt",
+                 "guess": tmp_path / "guess.cfg", "regions": tmp_path / "regions.txt"}
+        bases = []
+        mesh_basis = cli._mesh_basis
+        monkeypatch.setattr(cli, "_mesh_basis",
+                            lambda *a: bases.append(a) or mesh_basis(*a))
         assert main(argv.format(**paths).split()) == code
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {message}")
+        assert err.startswith(f"error: {message.format(**paths)}")
+        # only the basis row, which fails writing its result, gets as far
+        # as computing or loading an eigenbasis
+        assert len(bases) == argv.startswith("basis ")
 
     def test_run_with_region_files(self, env, ran, tmp_path):
         # the first 12 of the detected regions, header line kept

@@ -11,8 +11,9 @@ from conftest import CREATURE_DETECTOR
 from shapecorr import (DEFAULT_THRESHOLDS, ErrorCurve, PointMap, SolverOptions,
                        correspondence_error, cotangent_laplacian,
                        detect_stable_regions, eigenbasis, error_curve,
-                       export_colored_ply, match, read_ply, refine_icp,
+                       export_colored_ply, match, refine_icp,
                        region_coefficients, save_error_curve, shape_diameter)
+from shapecorr.mesh import _parse_ply
 
 
 class TestErrorCurveClass:
@@ -195,8 +196,8 @@ class TestExport:
         pm = PointMap(indices)
         px, py = tmp_path / "x.ply", tmp_path / "y.ply"
         export_colored_ply(mesh, mesh, pm, px, py)
-        _, _, colors_x = read_ply(px)
-        verts_y, _, colors_y = read_ply(py)
+        _, _, colors_x = _parse_ply(px.read_text())
+        verts_y, _, colors_y = _parse_ply(py.read_text())
         assert np.array_equal(colors_x, colors_y[indices])
         assert np.array_equal(verts_y, mesh.vertices)
         # color channels span the coordinate range
@@ -208,7 +209,7 @@ class TestExport:
         pm = PointMap(np.arange(3))
         px, py = tmp_path / "x.ply", tmp_path / "y.ply"
         export_colored_ply(mesh, mesh, pm, px, py)
-        _, _, colors = read_ply(py)
+        _, _, colors = _parse_ply(py.read_text())
         assert (colors[:, 2] == colors[0, 2]).all()
 
     def test_validation(self, tetra, tmp_path):

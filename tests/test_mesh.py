@@ -13,7 +13,6 @@ from shapecorr import (
     MeshValidationError,
     geodesic_distance_matrix,
     load_mesh,
-    read_ply,
     save_mesh,
     shape_diameter,
 )
@@ -144,7 +143,7 @@ class TestMeasures:
         assert np.array_equal(parity_mesh.edges, expected)
 
     def test_adjacency_symmetric(self, ico):
-        a = ico.adjacency
+        a = ico.edge_graph
         assert (a != a.T).nnz == 0
         assert a.diagonal().sum() == 0
 
@@ -269,7 +268,7 @@ class TestFormats:
                           dtype=np.uint8)
         path = tmp_path / "m.ply"
         save_mesh(mesh, path, colors=colors)
-        verts, tris, back = read_ply(path)
+        verts, tris, back = mesh_module._parse_ply(path.read_text())
         assert np.array_equal(verts, mesh.vertices)
         assert np.array_equal(tris, mesh.triangles)
         assert np.array_equal(back, colors)
@@ -279,7 +278,7 @@ class TestFormats:
     def test_ply_without_colors(self, tmp_path):
         path = tmp_path / "m.ply"
         save_mesh(_meshes.tetrahedron(), path)
-        _, _, colors = read_ply(path)
+        _, _, colors = mesh_module._parse_ply(path.read_text())
         assert colors is None
 
     def test_colors_rejected_elsewhere(self, tmp_path):

@@ -161,6 +161,9 @@ class TestObjective:
         lam, mu = resolve_penalties(A, B)
         assert lam == pytest.approx(0.3)
         assert mu == pytest.approx(0.1 * np.sqrt(10.0))
+        # a given value passes through; only the missing one is computed
+        assert resolve_penalties(A, B, lam=2.5) == (2.5, mu)
+        assert resolve_penalties(A, B, mu=0.0) == (lam, 0.0)
 
 
 def random_problem(rng, q=8, n=6):
