@@ -4,7 +4,9 @@ The correspondence step maximizes <E, Pi> over assignments Pi that give
 every source region exactly one target region and every target region at
 most one source (q <= r).  The constraint matrix of the linear relaxation
 is totally unimodular, so its vertices are integral and the combinatorial
-solve and the LP agree.
+solve and the LP agree.  The solve is a minimum-weight full matching of
+the bipartite graph of allowed pairs (``scipy.sparse.csgraph``, LAPJVsp:
+Jonker & Volgenant, Computing 1987).
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import sparse
+from scipy.sparse import csgraph
 
 __all__ = [
     "Assignment",
@@ -105,11 +108,14 @@ def solve_assignment(profit, mask=None):
     """Profit-maximizing injective assignment of rows to columns.
 
     Ties between equally profitable assignments are settled by an
-    infinitesimal preference for small row and column indices: the profit
-    is perturbed by -eps * (i * r + j) with eps = 1e-12 * max |E|, which
-    keeps the result deterministic without affecting strict optima.
-    Masked pairs cost infinity, so they are never chosen; a mask that
-    admits no complete assignment raises AssignmentInfeasibleError.
+    infinitesimal preference for small column indices: the profit is
+    perturbed by -eps * (i * r + j) with eps = 1e-12 * max |E|, which keeps
+    the result deterministic without affecting strict optima.  Every
+    complete assignment has the same sum of i * r, so the perturbation
+    pins the chosen column set, not the order of the rows within it.
+    Only pairs the mask allows are edges of the matching graph, so masked
+    pairs are never chosen; a mask that admits no complete assignment
+    raises AssignmentInfeasibleError.
     """
     E = np.asarray(profit, dtype=np.float64)
     if E.ndim != 2:
@@ -119,17 +125,30 @@ def solve_assignment(profit, mask=None):
         raise ValueError(f"need q <= r, got {q} rows and {r} columns; swap shapes")
     if not np.isfinite(E).all():
         raise ValueError("profit contains non-finite entries")
+    if mask is None:
+        mask = np.ones(E.shape, dtype=bool)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != E.shape:
+        raise ValueError(f"mask shape {mask.shape} != profit shape {E.shape}")
     top = float(np.abs(E).max(initial=0.0))
-    i_idx, j_idx = np.indices((q, r))
-    cost = -E + (1e-12 * top) * (i_idx * r + j_idx)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != E.shape:
-            raise ValueError(f"mask shape {mask.shape} != profit shape {E.shape}")
-        cost = np.where(mask, cost, np.inf)
+    i_idx, j_idx = np.nonzero(mask)  # row-major: already in CSR order
+    cost = -E[i_idx, j_idx] + (1e-12 * top) * (i_idx * r + j_idx)
+    # every complete assignment has q edges, so one common shift keeps the
+    # optimum, and weights >= 1 keep sparse storage from dropping a zero.
+    # The weights are integers from 1 to 2**44 + 1.  On floats, a price
+    # update in LAPJVsp's row reduction can round to a near-tie, and the
+    # rows then outbid each other one ulp at a time without end (seen with
+    # duplicate target columns and with rounded profits); on integers its
+    # arithmetic is exact, so a tie stays a tie.
+    cost -= cost.min(initial=0.0)
+    unit = np.ldexp(1.0, np.frexp(cost.max(initial=0.0))[1] - 44)
+    weights = np.rint(cost / unit) + 1.0
+    indptr = np.zeros(q + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
+    graph = sparse.csr_matrix((weights, j_idx, indptr), shape=(q, r))
     try:
-        rows, cols = optimize.linear_sum_assignment(cost)
-    except ValueError as exc:  # scipy: "cost matrix is infeasible"
+        rows, cols = csgraph.min_weight_full_bipartite_matching(graph)
+    except ValueError as exc:  # scipy: "no full matching exists"
         raise AssignmentInfeasibleError(
             "feasibility mask admits no complete assignment; "
             "relax max_ratio") from exc

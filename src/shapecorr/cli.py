@@ -159,7 +159,11 @@ def save_functional_map(functional_map, path):
 
 
 def load_functional_map(path):
-    mat = np.loadtxt(path, dtype=np.float64, ndmin=2)
+    lines = _Lines(Path(path).read_text(), cut="#").lines
+    if not lines:
+        raise ValueError(f"{path}: empty functional map")
+    mat = np.loadtxt([line for _, line in lines], dtype=np.float64,
+                     comments=None, ndmin=2)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{path}: functional map must be square, got {mat.shape}")
     return mat
@@ -389,9 +393,13 @@ def _cmd_pipeline(args):
 def _cmd_refine(args):
     config = _config_from_args(args)
     with _guard(args.command, reading=True):
-        inputs = (load_basis(args.basis_x), load_basis(args.basis_y),
-                  load_functional_map(args.fmap))
-    refined = _refine(config, *inputs)
+        basis_x, basis_y = load_basis(args.basis_x), load_basis(args.basis_y)
+        fmap = load_functional_map(args.fmap)
+        n = basis_x.size
+        if fmap.shape != (n, n):
+            raise ValueError(f"{args.fmap}: functional map must be ({n}, {n}) "
+                             f"for the bases, got {fmap.shape}")
+    refined = _refine(config, basis_x, basis_y, fmap)
     print(f"wrote {Path(config.out_dir) / 'point_map.txt'} "
           f"({refined.iterations} iterations)")
 

@@ -28,8 +28,10 @@ __all__ = [
 DEFAULT_THRESHOLDS = np.arange(0.0, 0.25 + 1e-9, 0.01)
 
 # correspondence_error: Dijkstra output per batch of sources, and the first
-# search radius as a fraction of the diameter (doubled until all pairs land)
-_CHUNK_BYTES = 2**24
+# search radius as a fraction of the diameter (doubled until all pairs land).
+# On a creature_5k jitter twin, 4 MiB blocks evaluated as fast as 16 MiB
+# ones (0.245 s), and 1 MiB and 512 KiB blocks took 1.4x and 1.7x as long.
+_CHUNK_BYTES = 2**22
 _START_FRACTION = 1 / 32
 
 
@@ -67,10 +69,13 @@ def correspondence_error(point_map, truth, mesh_y, diameter=None):
     Entry i is the edge-graph distance on the target mesh between the
     predicted image ``point_map[i]`` and the true image ``truth[i]``,
     divided by the target diameter.  Exact images cost nothing; Dijkstra
-    runs once from each distinct true image of a wrong vertex, in chunks
-    of at most ``_CHUNK_BYTES`` of distances (memory O(chunk * m), not
-    O(m^2)), and stops at a radius that starts at ``_START_FRACTION`` of
-    the diameter and doubles until every pair of the source is reached.
+    runs once from each distinct true image of a wrong vertex, in blocks
+    of sources whose distance rows fill at most ``_CHUNK_BYTES`` (4 MiB,
+    or one row when a row is larger; never O(m^2)), and stops at a radius
+    that starts at ``_START_FRACTION`` of the diameter and doubles until
+    every pair of the source is reached.  A row does not depend on which
+    block its source runs in, so the block size moves memory and time,
+    never an error.
     """
     predicted = np.asarray(point_map.indices if hasattr(point_map, "indices")
                            else point_map, dtype=np.int64)

@@ -154,11 +154,11 @@ def detect_stable_regions(mesh, basis, params=None):
             f"has {basis.size - 1}")
 
     candidates = []  # (area, members) in detection order
-    seen = set()  # membership hashes, cheap exact dedup before Jaccard
+    seen = set()  # packed memberships, cheap exact dedup before Jaccard
     for fn in range(1, params.num_functions + 1):
         phi = basis.functions[:, fn]
         for area, members in _stable_components(mesh, phi, params):
-            key = members.tobytes()
+            key = np.packbits(members).tobytes()
             if key not in seen:
                 seen.add(key)
                 candidates.append((area, members))

@@ -52,6 +52,27 @@ def brute_force_assignment(profit, mask=None):
     return perms[best], float(values[best])
 
 
+def hungarian_assignment(profit, mask=None):
+    """Columns of the dense Hungarian route (``linear_sum_assignment``).
+
+    The route ``solve_assignment`` took before the sparse matching: the
+    same -eps * (i * r + j) tie perturbation, masked pairs at infinite
+    cost.  Returns None when the mask admits no complete assignment.
+    """
+    E = np.asarray(profit, dtype=np.float64)
+    q, r = E.shape
+    i_idx, j_idx = np.indices((q, r))
+    cost = -E + (1e-12 * float(np.abs(E).max(initial=0.0))) * (i_idx * r + j_idx)
+    if mask is not None:
+        cost = np.where(np.asarray(mask, dtype=bool), cost, np.inf)
+    try:
+        rows, cols = optimize.linear_sum_assignment(cost)
+    except ValueError:  # scipy: "cost matrix is infeasible"
+        return None
+    assert np.array_equal(rows, np.arange(q))
+    return cols
+
+
 def lp_relaxation_solve(profit):
     """Linear-programming relaxation of the assignment step.
 

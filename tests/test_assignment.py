@@ -1,4 +1,5 @@
-"""Injective assignment: Hungarian route, LP oracle, masks, tie handling."""
+"""Injective assignment: sparse matching against the Hungarian and LP
+oracles, masks, tie handling."""
 
 from itertools import combinations
 from types import SimpleNamespace
@@ -120,6 +121,28 @@ class TestSolveAssignment:
         E[mask] = rng.uniform(-10, -1, 5)
         got = solve_assignment(E, mask)
         assert np.array_equal(got.cols, perm)
+
+    @pytest.mark.parametrize("profits", ["distinct", "rounded", "duplicate_columns"])
+    def test_matches_hungarian_oracle(self, rng, profits):
+        # distinct profits give the oracle's columns, ties its total; on
+        # float weights the matching bid forever on tied cases like these
+        for _ in range(300):
+            q = int(rng.integers(1, 30))
+            r = q + int(rng.integers(0, 8))
+            E = rng.uniform(-1, 1, (q, r))
+            if profits == "rounded":
+                E = E.round(1)
+            elif profits == "duplicate_columns":
+                E = E[:, rng.integers(0, r, r)]
+            mask = rng.uniform(size=E.shape) < 0.7
+            mask[np.arange(q), rng.permutation(r)[:q]] = True
+            got = solve_assignment(E, mask).cols
+            want = _oracles.hungarian_assignment(E, mask)
+            rows = np.arange(q)
+            if profits == "distinct":
+                assert np.array_equal(got, want)
+            assert mask[rows, got].all()
+            assert E[rows, got].sum() == pytest.approx(E[rows, want].sum(), abs=1e-9)
 
     def test_infeasible_mask(self):
         mask = np.array([[True, False], [True, False]])

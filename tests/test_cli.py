@@ -333,14 +333,21 @@ FAILURES = [
      "stage refine: {file}: not a basis cache file"),
     ("refine --basis-x {bx} --basis-y {by} --fmap {file} -o {tmp}/ref", 2,
      "stage refine: could not convert string"),
+    ("refine --basis-x {bx} --basis-y {by} --fmap {small} -o {tmp}/ref", 2,
+     "stage refine: {small}: functional map must be (20, 20) for the bases, "
+     "got (5, 5)"),
+    ("refine --basis-x {bx} --basis-y {by} --fmap {empty} -o {tmp}/ref", 2,
+     "stage refine: {empty}: empty functional map"),
 ]
 
 
 class TestMain:
     @pytest.mark.parametrize("argv, code, message", FAILURES)
     def test_failure_exit_codes(self, env, ran, tmp_path, capsys, monkeypatch,
-                                argv, code, message):
+                                recwarn, argv, code, message):
         (tmp_path / "file").write_text("not a directory\n")
+        np.savetxt(tmp_path / "small.txt", np.eye(5))
+        (tmp_path / "empty.txt").write_text("")
         config_text = (env["tmp"] / "config.cfg").read_text()
         (tmp_path / "guess.cfg").write_text(config_text + "region_source = guess\n")
         (tmp_path / "regions.txt").write_text("0 1 2\n0 x 3\n")
@@ -351,7 +358,8 @@ class TestMain:
                  "bx": env["tmp"] / "bx.bin", "by": env["tmp"] / "by.bin",
                  "fmap": out_a / "functional_map.txt",
                  "map": out_a / "point_map.txt",
-                 "guess": tmp_path / "guess.cfg", "regions": tmp_path / "regions.txt"}
+                 "guess": tmp_path / "guess.cfg", "regions": tmp_path / "regions.txt",
+                 "small": tmp_path / "small.txt", "empty": tmp_path / "empty.txt"}
         bases = []
         mesh_basis = cli._mesh_basis
         monkeypatch.setattr(cli, "_mesh_basis",
@@ -359,6 +367,7 @@ class TestMain:
         assert main(argv.format(**paths).split()) == code
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message.format(**paths)}")
+        assert "Warning" not in err and not recwarn.list
         # only the basis row, which fails writing its result, gets as far
         # as computing or loading an eigenbasis
         assert len(bases) == argv.startswith("basis ")

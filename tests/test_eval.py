@@ -137,7 +137,7 @@ class TestMatchesDenseOracle:
         finally:
             tracemalloc.stop()
         assert (errors > 0).all() and np.isfinite(errors).all()
-        assert peak < 64 * 2**20
+        assert peak < 16 * 2**20
 
 
 class TestErrorCurveFunction:

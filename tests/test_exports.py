@@ -2,7 +2,11 @@
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import shapecorr
 
@@ -22,3 +26,14 @@ def test_namespace_is_the_union_of_module_exports():
     public = {name for name, value in vars(shapecorr).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public == exported
+
+
+def test_import_leaves_scipy_optimize_out():
+    # scipy.optimize adds about 17 MB to every process; the assignment
+    # solves on scipy.sparse.csgraph, which the mesh code loads anyway
+    env = dict(os.environ, PYTHONPATH=str(Path(shapecorr.__file__).parents[1]))
+    code = ("import sys, shapecorr; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.strip() == "[]"
