@@ -396,6 +396,9 @@ def _cmd_refine(args):
         basis_x, basis_y = load_basis(args.basis_x), load_basis(args.basis_y)
         fmap = load_functional_map(args.fmap)
         n = basis_x.size
+        if basis_y.size != n:
+            raise ValueError(f"{args.basis_x} and {args.basis_y}: basis sizes "
+                             f"differ: {n} vs {basis_y.size}")
         if fmap.shape != (n, n):
             raise ValueError(f"{args.fmap}: functional map must be ({n}, {n}) "
                              f"for the bases, got {fmap.shape}")

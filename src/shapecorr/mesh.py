@@ -199,9 +199,14 @@ def shape_diameter(mesh, sample_count=32):
     """
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
-    m = mesh.num_vertices
-    sources = np.unique(np.linspace(0, m - 1, min(sample_count, m)).round().astype(np.int64))
+    sources = _spread_sample(mesh.num_vertices, sample_count)
     return float(geodesic_distance_matrix(mesh, sources).max())
+
+
+def _spread_sample(m, count):
+    """At most ``count`` distinct, evenly strided indices of ``range(m)``,
+    ascending."""
+    return np.unique(np.linspace(0, m - 1, min(count, m)).round().astype(np.int64))
 
 
 # -- file formats ----------------------------------------------------------

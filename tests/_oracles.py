@@ -155,6 +155,40 @@ def nearest_rows_scan(points, queries):
     return out
 
 
+def refine_icp_all_rows(basis_x, basis_y, initial_map, max_iters=30):
+    """ICP that fits the map on every target row, not a sample of them.
+
+    Same contract as ``refine.refine_icp``; each iteration queries all
+    m_y transported target rows, an O(m^2) search.
+    """
+    from shapecorr.refine import (RefineResult, nearest_rows,
+                                  orthogonal_procrustes,
+                                  point_map_from_functional)
+
+    C = np.asarray(initial_map, dtype=np.float64)
+    phi = basis_x.functions
+    psi = basis_y.functions
+    trace = []
+    previous = None
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        transported = psi @ C.T
+        matched = nearest_rows(phi, transported)
+        gap = phi[matched] - transported
+        trace.append(float(np.sum(gap * gap)))
+        if previous is not None and np.array_equal(matched, previous):
+            iterations -= 1
+            converged = True
+            break
+        C = orthogonal_procrustes(phi[matched], psi)
+        previous = matched
+    point_map = point_map_from_functional(basis_x, basis_y, C)
+    return RefineResult(functional_map=C, point_map=point_map,
+                        iterations=iterations, converged=converged,
+                        objective_trace=np.array(trace))
+
+
 def stable_components_levelwise(mesh, phi, params):
     """Stable superlevel components with the components rebuilt per level.
 

@@ -6,9 +6,12 @@ import pytest
 import _meshes
 from shapecorr import (
     DetectorParams,
+    SolverOptions,
     cotangent_laplacian,
     detect_stable_regions,
     eigenbasis,
+    match,
+    region_coefficients,
 )
 
 # finer level sweep than the package default: the test creature's regions
@@ -61,6 +64,20 @@ def creature4_basis(creature4):
 @pytest.fixture(scope="session")
 def creature4_regions(creature4, creature4_basis):
     return detect_stable_regions(creature4, creature4_basis, CREATURE_DETECTOR)
+
+
+@pytest.fixture(scope="session")
+def creature4_jitter_match(creature4, creature4_basis, creature4_regions):
+    """Acceptance criterion 7's twin, its basis, and the matched map onto it."""
+    twin = _meshes.jittered(creature4, scale=0.005, seed=11)
+    twin_basis = eigenbasis(*cotangent_laplacian(twin), 20)
+    twin_regions = detect_stable_regions(twin, twin_basis, CREATURE_DETECTOR)
+    coeffs_x = region_coefficients(creature4_regions, creature4_basis)
+    coeffs_y = region_coefficients(twin_regions, twin_basis)
+    lam, mu = _meshes.matching_penalties(coeffs_x, coeffs_y)
+    result = match(coeffs_x, coeffs_y, creature4_regions, twin_regions,
+                   options=SolverOptions(lam=lam, mu=mu))
+    return twin, twin_basis, result.functional_map
 
 
 @pytest.fixture()

@@ -8,8 +8,8 @@ import pytest
 
 import _meshes
 from shapecorr import (DEFAULT_THRESHOLDS, DetectorParams, SolverOptions,
-                       default_weights, match, refine_icp, save_mesh,
-                       shape_diameter)
+                       SpectralBasis, default_weights, load_basis, match,
+                       refine_icp, save_basis, save_mesh, shape_diameter)
 from shapecorr import cli
 from shapecorr.cli import (PipelineConfig, PipelineError, _config_from_args,
                            _detector_params, _solver_options, build_parser,
@@ -291,7 +291,8 @@ class TestPipeline:
 
 # (argv, exit code, stderr text); {file} is an existing plain file, {guess}
 # the env config with an unknown region_source, {regions} a region file
-# with a bad index on line 2
+# with a bad index on line 2, {b12} the target basis cache cut to 12
+# functions
 FAILURES = [
     ("run --config {cfg} --out-dir {file}", 2, "stage output: [Errno 17]"),
     ("run --config {cfg} --out-dir {file}/out", 2, "stage output: [Errno 20]"),
@@ -338,6 +339,8 @@ FAILURES = [
      "got (5, 5)"),
     ("refine --basis-x {bx} --basis-y {by} --fmap {empty} -o {tmp}/ref", 2,
      "stage refine: {empty}: empty functional map"),
+    ("refine --basis-x {bx} --basis-y {b12} --fmap {fmap} -o {tmp}/ref", 2,
+     "stage refine: {bx} and {b12}: basis sizes differ: 20 vs 12"),
 ]
 
 
@@ -351,6 +354,9 @@ class TestMain:
         config_text = (env["tmp"] / "config.cfg").read_text()
         (tmp_path / "guess.cfg").write_text(config_text + "region_source = guess\n")
         (tmp_path / "regions.txt").write_text("0 1 2\n0 x 3\n")
+        by = load_basis(env["tmp"] / "by.bin")
+        cut = SpectralBasis(by.functions[:, :12], by.eigenvalues[:12], by.masses)
+        save_basis(cut, tmp_path / "b12.bin")
         out_a = env["tmp"] / "out"
         paths = {"tmp": tmp_path, "file": tmp_path / "file",
                  "cfg": env["tmp"] / "config.cfg", "x": env["tmp"] / "x.off",
@@ -359,7 +365,8 @@ class TestMain:
                  "fmap": out_a / "functional_map.txt",
                  "map": out_a / "point_map.txt",
                  "guess": tmp_path / "guess.cfg", "regions": tmp_path / "regions.txt",
-                 "small": tmp_path / "small.txt", "empty": tmp_path / "empty.txt"}
+                 "small": tmp_path / "small.txt", "empty": tmp_path / "empty.txt",
+                 "b12": tmp_path / "b12.bin"}
         bases = []
         mesh_basis = cli._mesh_basis
         monkeypatch.setattr(cli, "_mesh_basis",

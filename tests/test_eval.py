@@ -7,12 +7,10 @@ import pytest
 
 import _meshes
 import _oracles
-from conftest import CREATURE_DETECTOR
-from shapecorr import (DEFAULT_THRESHOLDS, ErrorCurve, PointMap, SolverOptions,
-                       correspondence_error, cotangent_laplacian,
-                       detect_stable_regions, eigenbasis, error_curve,
-                       export_colored_ply, match, refine_icp,
-                       region_coefficients, save_error_curve, shape_diameter)
+from shapecorr import (DEFAULT_THRESHOLDS, ErrorCurve, PointMap,
+                       correspondence_error, error_curve, export_colored_ply,
+                       refine_icp, save_error_curve, shape_diameter)
+from shapecorr import evaluate
 from shapecorr.mesh import _parse_ply
 
 
@@ -73,18 +71,10 @@ class TestCorrespondenceError:
 
 
 @pytest.fixture(scope="module")
-def jitter_pair(creature4, creature4_basis, creature4_regions):
+def jitter_pair(creature4_basis, creature4_jitter_match):
     """A creature4 twin and the refined point map onto it."""
-    twin = _meshes.jittered(creature4, scale=0.005, seed=11)
-    twin_basis = eigenbasis(*cotangent_laplacian(twin), 20)
-    twin_regions = detect_stable_regions(twin, twin_basis, CREATURE_DETECTOR)
-    coeffs_x = region_coefficients(creature4_regions, creature4_basis)
-    coeffs_y = region_coefficients(twin_regions, twin_basis)
-    lam, mu = _meshes.matching_penalties(coeffs_x, coeffs_y)
-    result = match(coeffs_x, coeffs_y, creature4_regions, twin_regions,
-                   options=SolverOptions(lam=lam, mu=mu))
-    refined = refine_icp(creature4_basis, twin_basis, result.functional_map)
-    return twin, refined.point_map.indices
+    twin, twin_basis, fmap = creature4_jitter_match
+    return twin, refine_icp(creature4_basis, twin_basis, fmap).point_map.indices
 
 
 class TestMatchesDenseOracle:
@@ -116,6 +106,23 @@ class TestMatchesDenseOracle:
         true_diameter = shape_diameter(twin)
         scale = true_diameter if diameter is None else diameter
         assert got.max() * scale > true_diameter / 2  # far past the first radius
+
+    def test_small_blocks_start_at_their_chords(self, jitter_pair, rng,
+                                                 monkeypatch):
+        # three sources per block: each block starts at its own radius,
+        # from below the first fraction of the diameter to past it
+        twin, predicted = jitter_pair
+        m = twin.num_vertices
+        monkeypatch.setattr(evaluate, "_CHUNK_BYTES", 3 * 8 * m)
+        predicted = predicted.copy()
+        scrambled = rng.choice(m, size=m // 8, replace=False)
+        predicted[scrambled] = rng.integers(0, m, size=len(scrambled))
+        truth = rng.integers(0, 300, size=m)
+        got = correspondence_error(predicted, truth, twin)
+        assert np.array_equal(
+            got, _oracles.correspondence_error_dense(predicted, truth, twin))
+        small = got[got > 0].min()
+        assert small < evaluate._START_FRACTION < got.max()
 
     def test_all_exact(self, jitter_pair):
         twin, _ = jitter_pair

@@ -8,7 +8,8 @@ import pytest
 
 import _meshes
 import _oracles
-from shapecorr import (PointMap, load_point_map, nearest_rows,
+from shapecorr import (PointMap, correspondence_error, cotangent_laplacian,
+                       eigenbasis, load_point_map, nearest_rows,
                        orthogonal_procrustes, point_map_from_functional,
                        refine_icp, save_point_map)
 from shapecorr import refine as refine_module
@@ -220,8 +221,6 @@ class TestRefine:
         assert (np.diff(res.objective_trace) <= 1e-9).all()
 
     def test_jittered_pair_stays_on_truth(self, creature3, creature3_basis):
-        from shapecorr import cotangent_laplacian, eigenbasis
-
         twin = _meshes.jittered(creature3, scale=0.005, seed=3)
         basis_y = eigenbasis(*cotangent_laplacian(twin), 20)
         init = orthogonal_procrustes(creature3_basis.functions, basis_y.functions)
@@ -238,8 +237,6 @@ class TestRefine:
         assert len(res.objective_trace) == 1
 
     def test_validation(self, creature3_basis, ico):
-        from shapecorr import cotangent_laplacian, eigenbasis
-
         small = eigenbasis(*cotangent_laplacian(ico), 5)
         with pytest.raises(ValueError, match="basis sizes differ"):
             refine_icp(creature3_basis, small, np.eye(20))
@@ -247,6 +244,54 @@ class TestRefine:
             refine_icp(creature3_basis, creature3_basis, np.eye(3))
         with pytest.raises(ValueError, match="max_iters"):
             refine_icp(creature3_basis, creature3_basis, np.eye(20), max_iters=0)
+
+
+class TestSampledFit:
+    """refine_icp fits C on a stride sample of target rows; the oracle
+    fits it on all of them."""
+
+    def test_equals_all_rows_below_sample_size(self, rng):
+        mesh = _meshes.creature(2)
+        assert mesh.num_vertices <= refine_module._FIT_ROWS
+        basis_x = eigenbasis(*cotangent_laplacian(mesh), 20)
+        twin = _meshes.jittered(mesh, scale=0.01, seed=2)
+        basis_y = eigenbasis(*cotangent_laplacian(twin), 20)
+        init = orthogonal_procrustes(basis_x.functions, basis_y.functions)
+        init = init + 0.05 * rng.standard_normal((20, 20))
+        got = refine_icp(basis_x, basis_y, init)
+        want = _oracles.refine_icp_all_rows(basis_x, basis_y, init)
+        assert got.iterations > 1
+        assert np.array_equal(got.functional_map, want.functional_map)
+        assert np.array_equal(got.point_map.indices, want.point_map.indices)
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert np.array_equal(got.objective_trace, want.objective_trace)
+
+    def test_jitter_pair_error_matches_all_rows(self, creature4, creature4_basis,
+                                                creature4_jitter_match):
+        # the matched map of acceptance criterion 7, refined both ways
+        twin, twin_basis, fmap = creature4_jitter_match
+        assert creature4.num_vertices > refine_module._FIT_ROWS
+        truth = np.arange(creature4.num_vertices)
+        means = []
+        for refine in (refine_icp, _oracles.refine_icp_all_rows):
+            result = refine(creature4_basis, twin_basis, fmap)
+            errors = correspondence_error(result.point_map, truth, twin)
+            assert errors.mean() <= 0.06 and np.mean(errors <= 0.06) >= 0.80
+            means.append(errors.mean())
+        assert means[0] <= means[1] + 0.005
+
+    def test_only_the_point_map_queries_every_row(self, creature4,
+                                                  creature4_basis, rng,
+                                                  monkeypatch):
+        queried = []
+        search = refine_module.nearest_rows
+        monkeypatch.setattr(refine_module, "nearest_rows",
+                            lambda P, Q: queried.append(len(Q)) or search(P, Q))
+        init = np.eye(20) + 0.05 * rng.standard_normal((20, 20))
+        res = refine_icp(creature4_basis, creature4_basis, init)
+        assert len(queried) == len(res.objective_trace) + 1
+        assert max(queried[:-1]) <= refine_module._FIT_ROWS
+        assert queried[-1] == creature4.num_vertices
 
 
 class TestPointMapFromFunctional:
