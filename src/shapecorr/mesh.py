@@ -9,17 +9,19 @@ edge keys, and vertex areas from one ``np.bincount``.
 
 The readers take a file's content lines from ``str.splitlines``, with
 blanks and comments dropped.  The OFF and ASCII PLY readers hand each
-element block to ``np.loadtxt`` as one list of those lines.  A block
-that is cut short or does not parse as one table is read again line by
-line, which raises the error that names the line and the element (and
-accepts what Python's ``int``/``float`` accept but numpy does not, such
-as ``1_0``).  OBJ is read line by line.  The writers format each block
-with a single ``%`` call.  Arrays read and text written match, bit for
-bit, those of the line-wise routes kept in ``tests/_oracles.py``.
+element block to ``np.loadtxt`` as one list of those lines, and the OBJ
+reader its ``v`` rows and its ``f`` rows.  A block that is cut short or
+does not parse as one table is read again line by line, which raises
+the error that names the line and the element (and accepts what
+Python's ``int``/``float`` accept but numpy does not, such as ``1_0``).
+The writers format each block with a single ``%`` call.  Arrays read and
+text written match, bit for bit, those of the line-wise routes kept in
+``tests/_oracles.py``.
 """
 
 from __future__ import annotations
 
+import re
 from functools import cached_property
 from pathlib import Path
 
@@ -288,11 +290,7 @@ class _Lines:
         self.next += len(self.block)
         if len(self.block) < count or count == 0:
             return None
-        try:
-            return np.loadtxt([line for _, line in self.block], dtype=dtype,
-                              comments=None, ndmin=2)
-        except ValueError:
-            return None
+        return _loadtxt([line for _, line in self.block], dtype)
 
     def rescan(self, what):
         """Yield (i, lineno, tokens) over the last table's lines.
@@ -304,6 +302,15 @@ class _Lines:
             yield i, lineno, line.split()
         if len(self.block) < self.wanted:
             self.take(f"{what} {len(self.block)}")  # no line is left: raises
+
+
+def _loadtxt(rows, dtype):
+    """Nonempty whitespace-separated text rows as one 2-d array, or None
+    when they do not parse as one table of ``dtype``."""
+    try:
+        return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
+    except ValueError:
+        return None
 
 
 def _floats(tokens, count, lineno, what):
@@ -368,9 +375,38 @@ def _parse_off(text):
 
 
 def _parse_obj(text):
+    lines = _Lines(text, cut="#").lines
+    verts = _obj_table(lines, "v", np.float64)
+    tris = _obj_table(lines, "f", np.int64)
+    if verts is None or tris is None or (tris < 1).any():
+        return _parse_obj_lines(lines)
+    return verts, tris - 1
+
+
+def _obj_table(lines, key, dtype):
+    """The rest of each OBJ line led by the directive ``key`` as one (n, 3)
+    table, or None when those rows do not parse as one.
+
+    The directive is a line's first token: ``key`` alone, or ``key`` and a
+    blank.  A face token "i/t/n" counts as index i; one led by "/" does
+    not parse.
+    """
+    rows = [line[1:] for _, line in lines if line[0] == key and not line[1:2].strip()]
+    if not rows:
+        return np.empty((0, 3), dtype=dtype)
+    if "" in rows:  # a lone key, which np.loadtxt would skip as blank
+        return None
+    if key == "f" and any("/" in row for row in rows):
+        rows = re.sub(r"(?<=\S)/\S*", "", "\n".join(rows)).split("\n")
+    table = _loadtxt(rows, dtype)
+    return table if table is not None and table.shape[1] == 3 else None
+
+
+def _parse_obj_lines(lines):
+    """The OBJ grammar line by line: the error path of :func:`_parse_obj`."""
     verts = []
     tris = []
-    for lineno, line in _Lines(text, cut="#").lines:
+    for lineno, line in lines:
         tokens = line.split()
         key = tokens[0]
         if key == "v":

@@ -10,6 +10,15 @@ linear-time MSER, Nister & Stewenius 2008), and the stability test reads
 component areas off the tree.  No per-level graph is built, so the
 number of levels sets the threshold grid only.
 
+Every component is a slice of the sweep's vertex order, so its area is a
+difference of two prefix sums of the vertex areas in that order, one
+``cumsum`` per eigenfunction.  That area is within a proven slack of the
+sum over the component's members in vertex-index order, the area a
+region reports.  The index-order sum is taken only where the slack could
+change the result: a stability window within the margin of its limit, a
+run of candidates whose areas lie within twice the slack of each other
+in the area sort, and the regions kept after the dedup.
+
 Regions are plain vertex indicator rows plus their relative areas; no
 mesh reference is kept, so a RegionSet stays valid as long as vertex
 numbering does.
@@ -68,6 +77,10 @@ class DetectorParams:
             raise ValueError("stability_window must be at least 2")
         if not 0 < self.dedup_overlap <= 1:
             raise ValueError("dedup_overlap must be in (0, 1]")
+        if not 0 <= self.stability_tol < np.inf:
+            raise ValueError("stability_tol must be finite and nonnegative")
+        if not 0 <= self.min_area_frac <= 1:
+            raise ValueError("min_area_frac must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -140,10 +153,14 @@ def detect_stable_regions(mesh, basis, params=None):
     Each eigenfunction costs one union-find sweep over the mesh edges,
     sorted by the threshold level at which they become active; ``levels``
     only sets how fine the threshold grid is, not how many graphs are
-    built.  Deterministic: same mesh and basis give the identical RegionSet.
-    Returns regions sorted by descending area.  Raises ValueError when the
-    basis carries fewer than ``num_functions`` nontrivial eigenfunctions
-    or when no region survives the filters.
+    built.  Candidates are sorted by their prefix-sum areas; only runs of
+    them closer than twice the slack of those areas, and the regions kept
+    after the dedup, are summed again in vertex-index order.  So the order
+    and the area fractions are those of index-order sums throughout.
+    Deterministic: same mesh and basis give the identical RegionSet.
+    Returns regions sorted by descending area, ties in detection order.
+    Raises ValueError when the basis carries fewer than ``num_functions``
+    nontrivial eigenfunctions or when no region survives the filters.
     """
     params = params or DetectorParams()
     if basis.num_vertices != mesh.num_vertices:
@@ -153,7 +170,7 @@ def detect_stable_regions(mesh, basis, params=None):
             f"need {params.num_functions} nontrivial eigenfunctions, basis "
             f"has {basis.size - 1}")
 
-    candidates = []  # (area, members) in detection order
+    candidates = []  # (area within the slack, members) in detection order
     seen = set()  # packed memberships, cheap exact dedup before Jaccard
     for fn in range(1, params.num_functions + 1):
         phi = basis.functions[:, fn]
@@ -164,17 +181,71 @@ def detect_stable_regions(mesh, basis, params=None):
                 candidates.append((area, members))
 
     # greedy Jaccard dedup, larger regions take precedence
-    candidates.sort(key=lambda c: -c[0])
-    kept = [candidates[i] for i in _greedy_dedup(
-        [members for _, members in candidates], params.dedup_overlap)]
+    slack = _area_slack(mesh.num_vertices, mesh.total_area)
+    ranked = [candidates[i][1] for i in _area_order(candidates, mesh.vertex_areas, slack)]
+    kept = [ranked[i] for i in _greedy_dedup(ranked, params.dedup_overlap)]
 
     total = mesh.total_area
-    kept = [(a, m) for a, m in kept if a / total >= params.min_area_frac]
-    if not kept:
+    area = np.array([_index_order_area(mesh.vertex_areas, m) for m in kept])
+    large = np.flatnonzero(area / total >= params.min_area_frac)
+    if not len(large):
         raise ValueError("no regions detected; relax the area or stability limits")
-    members = np.array([m for _, m in kept])
-    return RegionSet(members=members,
-                     area_fractions=np.array([a for a, _ in kept]) / total)
+    return RegionSet(members=np.array([kept[i] for i in large]),
+                     area_fractions=area[large] / total)
+
+
+def _index_order_area(vertex_areas, members):
+    """Area of a vertex set, summed term by term in vertex-index order.
+
+    The same vertex set gives the same float whatever order a sweep
+    joined it in.  ``members`` is a bool row or an index array.
+    """
+    index = np.flatnonzero(members) if members.dtype == bool else np.sort(members)
+    return np.cumsum(vertex_areas[index])[-1]
+
+
+def _area_slack(m, total):
+    """Largest gap between a prefix-sum area and the index-order area.
+
+    For any vertex set of a mesh with ``m`` vertices and area ``total``,
+    the difference of two prefix sums of the vertex areas (in any order)
+    that holds exactly its members lies within the returned slack of
+    :func:`_index_order_area` of it.
+
+    Why it holds.  With u = 2**-53 and nonnegative terms, a running sum
+    of j terms errs by at most g_j = j u / (1 - j u) times the exact sum
+    of its terms, and so by g_m T, T the exact total.  The two prefix
+    sums then err by 2 g_m T together, their difference rounds by
+    u (T + 2 g_m T) more, and the index-order sum of the members errs by
+    g_m T.  So the gap is at most (3 m + 1) u T to first order.
+    ``total`` is a float sum of the face or the vertex areas, off from T
+    by a relative 2 m u at most.  For m < 2**30 that and the second-order
+    terms stay below a relative 2**-10, which the last factor covers.
+    Additions round relative to their result even among subnormal
+    floats, so no absolute term is needed.
+    """
+    return (3 * m + 1) * 2.0 ** -53 * total * (1 + 2.0 ** -10)
+
+
+def _area_order(candidates, vertex_areas, slack):
+    """Indices of ``(area, members)`` candidates by descending area.
+
+    The order is that of the members' index-order areas, ties in list
+    order.  The given areas lie within ``slack`` of those, so two
+    candidates whose given areas differ by more than ``2 * slack`` keep
+    their order; only runs of neighbours closer than that are summed in
+    index order and sorted again.
+    """
+    approx = np.array([area for area, _ in candidates], dtype=np.float64)
+    order = np.argsort(-approx, kind="stable")
+    close = np.append(np.diff(approx[order]) >= -2 * slack, False)
+    # runs of close neighbours: order[lo:hi + 1] for each (lo, hi)
+    bounds = np.flatnonzero(np.diff(np.concatenate([[False], close])))
+    for lo, hi in bounds.reshape(-1, 2):
+        run = order[lo:hi + 1]
+        exact = np.array([_index_order_area(vertex_areas, candidates[i][1]) for i in run])
+        order[lo:hi + 1] = run[np.lexsort((run, -exact))]
+    return order.tolist()
 
 
 def _greedy_dedup(members, overlap):
@@ -216,7 +287,11 @@ def _stable_components(mesh, phi, params):
     threshold drops, and when two merge the joint peak is the higher one,
     so each local maximum traces one chain over a contiguous run of
     levels.  Each stable component is yielded once, in (peak, level)
-    order, with its area summed over its members in index order.
+    order.  Its area is a difference of two prefix sums of the vertex
+    areas in sweep order, within ``_area_slack`` of its index-order area.
+    The stability windows are those of index-order areas: a chain with a
+    window whose spread lies within the margin of its limit is summed
+    again in index order and tested on those areas.
     """
     lo, hi = float(phi.min()), float(phi.max())
     if hi - lo <= 1e-12 * max(abs(hi), abs(lo), 1.0):
@@ -230,9 +305,19 @@ def _stable_components(mesh, phi, params):
     changes, died, order = _merge_sweep(mesh.edges, vertex_level, rank, params.levels)
     position = np.empty(m, dtype=np.int64)
     position[order] = np.arange(m)
-
-    def component(peak, size):
-        return order[position[peak]:position[peak] + size]
+    # the component of ``size`` vertices at ``peak`` is order[p:p + size],
+    # p = position[peak], with area prefix[p + size] - prefix[p]
+    prefix = np.concatenate([[0.0], np.cumsum(mesh.vertex_areas[order])])
+    tol = params.stability_tol
+    # Why the margin holds.  Let a, b be the spread and tol * mid of a
+    # window on index-order areas, and a', b' the same on prefix-sum
+    # areas, each area within d = _area_slack of its index-order value.
+    # Rounding is monotone, so |a - a'| <= 2 d + 2 u T and
+    # |b - b'| <= tol d + 2 u tol T (u = 2**-53, T the total area), and
+    # the computed a' - b' rounds by u (1 + tol) T more.  As d >= 4 u T,
+    # 4 (1 + tol) d covers the sum, and 2**-1000 any underflow of tol * mid.
+    # So outside the margin a' < b' decides as a < b does.
+    margin = 4 * (1 + tol) * _area_slack(m, mesh.total_area) + 2.0 ** -1000
 
     w = params.stability_window
     for peak in sorted(changes):
@@ -241,20 +326,30 @@ def _stable_components(mesh, phi, params):
         last = died.get(peak, params.levels) - 1
         if last - first + 1 < w:
             continue
-        change_levels = np.array([level for level, _ in chain])
-        # term by term in vertex-index order: the same vertex set gives the
-        # same float whatever order the sweep joined it in
-        chain_area = np.array([np.cumsum(mesh.vertex_areas[np.sort(component(peak, size))])[-1]
-                               for _, size in chain])
-        # areas only grow along a chain, so a window's spread is last - first
-        area = np.repeat(chain_area, np.diff(np.append(change_levels, last + 1)))
-        count = len(area) - w + 1
-        stable = area[w - 1:] - area[:count] < params.stability_tol * area[w // 2:w // 2 + count]
+        change_levels, sizes = np.array(chain).T
+        start = position[peak]
+        repeats = np.diff(np.append(change_levels, last + 1))
+        chain_area = prefix[start + sizes] - prefix[start]
+        stable, unsure = _stable_windows(np.repeat(chain_area, repeats), w, tol, margin)
+        if unsure:
+            chain_area = np.array([_index_order_area(mesh.vertex_areas, order[start:start + size])
+                                   for size in sizes])
+            stable = _stable_windows(np.repeat(chain_area, repeats), w, tol, margin)[0]
         mid_levels = first + w // 2 + np.flatnonzero(stable)
         for j in np.unique(np.searchsorted(change_levels, mid_levels, side="right") - 1):
             members = np.zeros(m, dtype=bool)
-            members[component(peak, chain[j][1])] = True
+            members[order[start:start + sizes[j]]] = True
             yield chain_area[j], members
+
+
+def _stable_windows(area, w, tol, margin):
+    """Which windows of ``w`` levels of a chain's ``area`` are stable, and
+    whether any of them lies within ``margin`` of its limit."""
+    count = len(area) - w + 1
+    # areas only grow along a chain, so a window's spread is last - first
+    spread = area[w - 1:] - area[:count]
+    limit = tol * area[w // 2:w // 2 + count]
+    return spread < limit, bool((np.abs(spread - limit) <= margin).any())
 
 
 def _merge_sweep(edges, vertex_level, rank, levels):

@@ -314,8 +314,9 @@ def filter_by_area(regions, min_area_frac=0.05):
 
 
 # -- line-wise mesh readers and writers ------------------------------------
-# ``parse_off`` and ``parse_ply`` have the contract of the package's
-# ``mesh._parse_off`` and ``mesh._parse_ply``: same arrays, same errors.
+# ``parse_off``, ``parse_obj`` and ``parse_ply`` have the contract of the
+# package's ``mesh._parse_off``, ``_parse_obj`` and ``_parse_ply``: same
+# arrays, same errors.
 # The writers have that of ``mesh._emit_off``/``_emit_obj``/``_emit_ply``.
 
 # full round-trip precision for float64 text output
@@ -377,6 +378,35 @@ def parse_off(text):
         except ValueError:
             raise MeshParseError(f"line {lineno}: non-integer index in face {i}") from None
     return verts, tris
+
+
+def parse_obj(text):
+    verts = []
+    tris = []
+    for lineno, tokens in _content_lines(text):
+        key = tokens[0]
+        if key == "v":
+            verts.append(_floats(tokens[1:], 3, lineno, f"vertex {len(verts)}"))
+        elif key == "f":
+            if len(tokens) != 4:
+                raise MeshParseError(
+                    f"line {lineno}: face {len(tris)} has {len(tokens) - 1} "
+                    "vertices (triangles only)")
+            face = []
+            for tok in tokens[1:]:
+                try:
+                    idx = int(tok.split("/", 1)[0])
+                except ValueError:
+                    raise MeshParseError(
+                        f"line {lineno}: bad index {tok!r} in face {len(tris)}") from None
+                if idx < 1:
+                    raise MeshParseError(
+                        f"line {lineno}: face {len(tris)} uses non-positive "
+                        f"index {idx}; only 1-based absolute indices are supported")
+                face.append(idx - 1)
+            tris.append(face)
+    return (np.asarray(verts, dtype=np.float64).reshape(-1, 3),
+            np.asarray(tris, dtype=np.int64).reshape(-1, 3))
 
 
 def parse_ply(text):

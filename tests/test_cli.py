@@ -324,6 +324,14 @@ FAILURES = [
      "stage config: levels must be at least stability_window"),
     ("run --config {cfg} --out-dir {tmp}/out --max-iter 0", 2,
      "stage config: max_iter must be positive"),
+    ("run --config {cfg} --out-dir {tmp}/out --stability-tol nan", 2,
+     "stage config: stability_tol must be finite and nonnegative"),
+    ("run --config {cfg} --out-dir {tmp}/out --stability-tol -0.01", 2,
+     "stage config: stability_tol must be finite and nonnegative"),
+    ("run --config {cfg} --out-dir {tmp}/out --min-area-frac nan", 2,
+     "stage config: min_area_frac must be in [0, 1]"),
+    ("run --config {cfg} --out-dir {tmp}/out --min-area-frac 1.5", 2,
+     "stage config: min_area_frac must be in [0, 1]"),
     ("run --config {cfg} --out-dir {tmp}/out --regions-x {regions} "
      "--regions-y {regions}", 2, "stage regions: {regions}:2: bad vertex index"),
     ("run --config {cfg} --out-dir {tmp}/out --truth {file}", 2,

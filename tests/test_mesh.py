@@ -375,6 +375,19 @@ ACCEPTED_TEXTS = {
                                     "element face 1\nproperty list uchar int vertex_indices\n"
                                     "element tail 1\nproperty float t\nend_header\n"
                                     f"0.5\n1 2 3 4 5\n{TRI}0 1\n1 2\n3 0 1 2\nanything\n"),
+    "obj-slash-indices": ("obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/1/1 2//2 3/x\n"),
+    "obj-comments-other-directives": ("obj", "# made by hand\nmtllib a/b.mtl\no thing\n"
+                                             "vn 0 0 1\nvt 0 0\nv 0 0 0 # v1\n\tv 1 0 0\n"
+                                             "v1 9 9 9\nv\t0\t1\t0\nusemtl x\ns off\n"
+                                             "f 1 2 3 # f1\n"),
+    "obj-interleaved-crlf": ("obj", "v 0 0 0\r\nv 1 0 0\r\nf 1 2 3\r\nv 0 1 0\r\n"
+                                    "v +2 -0 1e-3\r\nf 2 4 3\r\n"),
+    "obj-signs-inf-nan": ("obj", "v +2 -0 1e-3\nv inf -inf nan\nv -Infinity 1E+2 .5\n"
+                                 "f +1 2 +3\n"),
+    "obj-underscores": ("obj", "v 1_0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 1_0\n"),
+    "obj-non-ascii-blanks": ("obj", "v\u00a00 0 0\nv 1 0 0\nv 0 1 0\u3000\nf\u00a01 2 3\n"),
+    "obj-no-faces": ("obj", "v 0 0 0\nv 1 0 0\n"),
+    "obj-empty": ("obj", "# nothing\n"),
     "ply-body-comments-crlf": ("ply", "ply\r\nformat ascii 1.0\r\nelement vertex 3\r\n"
                                       "property float x\r\nproperty float y\r\n"
                                       "property float z\r\nelement face 1\r\n"
@@ -415,6 +428,24 @@ MALFORMED_TEXTS = {
     "off-non-integer-counts": ("off", f"OFF\n3.0 1 0\n{TRI}3 0 1 2\n"),
     "off-counts-not-numbers": ("off", "OFF\nx y\n"),
     "off-one-count": ("off", f"OFF\n3\n{TRI}"),
+    "obj-bad-float": ("obj", "v 0 0 0\nv 1 0 x\nv 0 1 0\nf 1 2 3\n"),
+    "obj-vertex-2-numbers": ("obj", "v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n"),
+    "obj-vertex-4-numbers": ("obj", "v 0 0 0\nv 1 0 0 1\nv 0 1 0\nf 1 2 3\n"),
+    "obj-all-vertices-4-numbers": ("obj", "v 0 0 0 1\nv 1 0 0 1\nv 0 1 0 1\nf 1 2 3\n"),
+    "obj-lone-v": ("obj", "v 0 0 0\nv\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"),
+    "obj-lone-f": ("obj", f"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf # none\n"),
+    "obj-quad": ("obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3 4\n"),
+    "obj-all-quads": ("obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3 4\nf 4 3 2 1\n"),
+    "obj-face-2-indices": ("obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\n"),
+    "obj-negative-index": ("obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 -1\n"),
+    "obj-zero-index": ("obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 0 1 2\n"),
+    "obj-index-2.0": ("obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3.0\n"),
+    "obj-index-huge": ("obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n"),
+    "obj-slash-led-token": ("obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 /3\n"),
+    "obj-slash-only": ("obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 //\n"),
+    "obj-slash-quad": ("obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf /4 1/1 2/2 3/3\n"),
+    "obj-bad-index-after-good-faces": ("obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
+                                              "f 1/1 x/2 3\n"),
     "ply-no-magic": ("ply", "solid\n"),
     "ply-binary": ("ply", "ply\nformat binary_little_endian 1.0\nend_header\n"),
     "ply-unrecognized-header": ("ply", "ply\nformat ascii 1.0\nobj_info x\nend_header\n"),
@@ -475,6 +506,7 @@ class TestHeaderFaults:
 
 
 READERS = {"off": (mesh_module._parse_off, _oracles.parse_off),
+           "obj": (mesh_module._parse_obj, _oracles.parse_obj),
            "ply": (mesh_module._parse_ply, _oracles.parse_ply)}
 
 
@@ -489,7 +521,7 @@ def _assert_bit_equal(got, expected):
 
 
 class TestReaderParity:
-    """The array-speed OFF/PLY readers against the line-wise ones."""
+    """The array-speed readers against the line-wise ones."""
 
     @pytest.mark.parametrize("name", ACCEPTED_TEXTS)
     def test_accepted(self, name):
@@ -515,7 +547,7 @@ class TestReaderParity:
         assert verts[0, 0] == 10.0
         assert tris[0].tolist() == [0, 10, 2]
 
-    @pytest.mark.parametrize("fmt", ["off", "ply"])
+    @pytest.mark.parametrize("fmt", ["off", "obj", "ply"])
     def test_written_meshes(self, parity_mesh, tmp_path, fmt):
         path = tmp_path / f"m.{fmt}"
         colors = _vertex_colors(parity_mesh) if fmt == "ply" else None
@@ -528,9 +560,11 @@ class TestReaderParity:
         back = load_mesh(path)
         assert np.array_equal(back.edges, parity_mesh.edges)
 
-    def test_reading_5k_off_peak_memory(self, creature_5k, tmp_path):
-        # per-token Python objects took the peak to 8.6 MB
-        path = tmp_path / "creature_5k.off"
+    @pytest.mark.parametrize("fmt", ["off", "obj"])
+    def test_reading_5k_peak_memory(self, creature_5k, tmp_path, fmt):
+        # per-token Python objects took the peak to 8.6 MB (OFF) and
+        # 5.44 MB (OBJ)
+        path = tmp_path / f"creature_5k.{fmt}"
         save_mesh(creature_5k, path)
         tracemalloc.start()
         try:

@@ -1,9 +1,13 @@
 """Stable-region detection, region sets, and the region file format."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 import _meshes
 import _oracles
@@ -52,6 +56,14 @@ class TestParams:
             DetectorParams(stability_window=1)
         with pytest.raises(ValueError, match="dedup_overlap"):
             DetectorParams(dedup_overlap=1.5)
+        for tol in (np.nan, -0.01, np.inf):
+            with pytest.raises(ValueError, match="stability_tol must be finite"):
+                DetectorParams(stability_tol=tol)
+        for frac in (np.nan, -0.01, 1.5):
+            with pytest.raises(ValueError, match=r"min_area_frac must be in \[0, 1\]"):
+                DetectorParams(min_area_frac=frac)
+        DetectorParams(stability_tol=0.0, min_area_frac=0.0)
+        DetectorParams(min_area_frac=1.0)
 
 
 class TestRegionSet:
@@ -199,11 +211,15 @@ def _assert_sweep_matches_oracle(mesh, basis, params, monkeypatch):
     slow, slow_parts = _detect_recording(
         mesh, basis, params, _oracles.stable_components_levelwise, monkeypatch)
     assert len(fast_parts) == len(slow_parts) == params.num_functions
+    slack = regions_module._area_slack(mesh.num_vertices, mesh.total_area)
     for got, want in zip(fast_parts, slow_parts):
         assert len(got) == len(want)
         for (area, members), (area_want, members_want) in zip(got, want):
-            assert area == area_want  # bit-equal, not approximately equal
             assert np.array_equal(members, members_want)
+            # the index-order area of the members is the oracle's, bit for
+            # bit; the sweep's own prefix-sum area is within the slack of it
+            assert np.cumsum(mesh.vertex_areas[np.flatnonzero(members)])[-1] == area_want
+            assert abs(area - area_want) <= slack
     assert np.array_equal(fast.members, slow.members)
     assert np.array_equal(fast.area_fractions, slow.area_fractions)
 
@@ -249,6 +265,75 @@ class TestSweepMatchesOracle:
                 params = DetectorParams(num_functions=1, levels=levels,
                                         stability_window=window, min_area_frac=0.0)
                 _assert_sweep_matches_oracle(mesh, basis, params, monkeypatch)
+
+
+def _path_mesh(vertex_areas):
+    """The sweep's view of a path graph 0 - 1 - ... with the given areas."""
+    areas = np.asarray(vertex_areas, dtype=np.float64)
+    m = len(areas)
+    edges = np.column_stack([np.arange(m - 1), np.arange(1, m)])
+    graph = sparse.coo_matrix((np.ones(m - 1), edges.T), shape=(m, m)).tocsr()
+    return SimpleNamespace(num_vertices=m, edges=edges, vertex_areas=areas,
+                           total_area=float(areas.sum()), edge_graph=graph + graph.T)
+
+
+class TestAreaSettle:
+    """Prefix-sum areas, and the index-order sums where they could differ."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 400), decades=st.integers(0, 15),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_prefix_difference_within_slack(self, m, decades, seed, data):
+        # areas over many decades, a random sweep order, nested components
+        # sharing a start as along one chain
+        rng = np.random.default_rng(seed)
+        areas = 10.0 ** rng.uniform(-decades, 0, m)
+        order = rng.permutation(m)
+        prefix = np.concatenate([[0.0], np.cumsum(areas[order])])
+        start = data.draw(st.integers(0, m - 1))
+        sizes = np.unique(rng.integers(1, m - start + 1, 8))
+        slack = regions_module._area_slack(m, float(areas.sum()))
+        for size in sizes:
+            exact = np.cumsum(areas[np.sort(order[start:start + size])])[-1]
+            assert abs((prefix[start + size] - prefix[start]) - exact) <= slack
+
+    def test_window_within_margin_is_settled(self):
+        # on the path 0 - 1 - 2 with phi rising along it, the chain of vertex
+        # 2 is {2}, {1, 2}, {0, 1, 2}.  With u = 2**-53 the last has
+        # index-order area (1 + u) + u, which rounds to 1, and prefix-sum
+        # area 2u + 1 = 1 + 2u.  So its window is stable on index-order
+        # areas (spread 1 - 2u < (1 - u) * 1) and not on prefix-sum ones
+        # (spread 1, and (1 - u) * (1 + 2u) rounds to 1)
+        mesh = _path_mesh([1.0, 2.0**-53, 2.0**-53])
+        phi = np.array([0.0, 1.0, 2.0])
+        params = DetectorParams(num_functions=1, levels=3, stability_window=2,
+                                stability_tol=1 - 2.0**-53, min_area_frac=0.0)
+        got = list(regions_module._stable_components(mesh, phi, params))
+        want = list(_oracles.stable_components_levelwise(mesh, phi, params))
+        assert [members.tolist() for _, members in got] == \
+            [[False, True, True], [True, True, True]]
+        assert [members.tolist() for _, members in want] == \
+            [members.tolist() for _, members in got]
+        assert [area for area, _ in want] == [2.0**-52, 1.0]
+
+    def test_close_areas_sorted_and_kept_by_index_order_sums(self, monkeypatch):
+        # three single vertices of index-order area 1 whose sweep areas
+        # differ within the slack: ties go in detection order, and the area
+        # floor and fractions read the index-order areas
+        mesh = _path_mesh(np.ones(4))
+        basis = SimpleNamespace(num_vertices=4, size=2, functions=np.zeros((4, 2)))
+        found = [(1.0, 0), (1.0 + 2.0**-52, 1), (1.0 - 2.0**-52, 3)]
+        assert all(abs(a - 1.0) <= regions_module._area_slack(4, 4.0) for a, _ in found)
+
+        def sweep(mesh, phi, params):
+            for area, vertex in found:
+                yield area, np.arange(4) == vertex
+
+        monkeypatch.setattr(regions_module, "_stable_components", sweep)
+        got = detect_stable_regions(mesh, basis, DetectorParams(num_functions=1,
+                                                                min_area_frac=0.25))
+        assert np.array_equal(got.members, np.eye(4, dtype=bool)[[0, 1, 3]])
+        assert got.area_fractions.tolist() == [0.25, 0.25, 0.25]
 
 
 def _assert_dedup_matches_oracle(mesh, basis, params, monkeypatch):
