@@ -166,6 +166,8 @@ def load_functional_map(path):
                      comments=None, ndmin=2)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{path}: functional map must be square, got {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{path}: functional map entries must be finite")
     return mat
 
 

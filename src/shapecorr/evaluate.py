@@ -88,7 +88,8 @@ def correspondence_error(point_map, truth, mesh_y, diameter=None):
         raise ValueError(
             f"map has {predicted.shape[0]} entries, truth has {expected.shape[0]}")
     m = mesh_y.num_vertices
-    if predicted.max() >= m or expected.max() >= m:
+    if (min(predicted.min(), expected.min()) < 0
+            or max(predicted.max(), expected.max()) >= m):
         raise ValueError(f"vertex index out of range for target mesh with {m} vertices")
     if diameter is None:
         diameter = shape_diameter(mesh_y)
@@ -164,7 +165,7 @@ def export_colored_ply(mesh_x, mesh_y, point_map, path_x, path_y):
         raise ValueError(
             f"point map covers {len(indices)} vertices, source mesh has "
             f"{mesh_x.num_vertices}")
-    if indices.max() >= mesh_y.num_vertices:
+    if indices.min() < 0 or indices.max() >= mesh_y.num_vertices:
         raise ValueError("point map index out of range for target mesh")
     v = mesh_y.vertices
     span = v.max(axis=0) - v.min(axis=0)

@@ -10,14 +10,11 @@ linear-time MSER, Nister & Stewenius 2008), and the stability test reads
 component areas off the tree.  No per-level graph is built, so the
 number of levels sets the threshold grid only.
 
-Every component is a slice of the sweep's vertex order, so its area is a
-difference of two prefix sums of the vertex areas in that order, one
-``cumsum`` per eigenfunction.  That area is within a proven slack of the
-sum over the component's members in vertex-index order, the area a
-region reports.  The index-order sum is taken only where the slack could
-change the result: a stability window within the margin of its limit, a
-run of candidates whose areas lie within twice the slack of each other
-in the area sort, and the regions kept after the dedup.
+A region's area is the exact sum of its vertex areas, rounded once to
+the nearest float, wherever it is computed: the vertex areas are integer
+multiples of one power-of-two unit, so the sum does not depend on the
+order of its terms.  Every component is a slice of the sweep's vertex
+order, and its area a difference of two integer prefix sums in that order.
 
 Regions are plain vertex indicator rows plus their relative areas; no
 mesh reference is kept, so a RegionSet stays valid as long as vertex
@@ -26,8 +23,10 @@ numbering does.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -143,8 +142,9 @@ def regions_from_members(members, mesh):
     if members.ndim != 2 or members.shape[1] != mesh.num_vertices:
         raise ValueError(
             f"members must have shape (q, {mesh.num_vertices}), got {members.shape}")
-    fractions = (members @ mesh.vertex_areas) / mesh.total_area
-    return RegionSet(members=members, area_fractions=fractions)
+    areas = [math.fsum(mesh.vertex_areas[row]) for row in members]
+    return RegionSet(members=members,
+                     area_fractions=np.array(areas, dtype=np.float64) / mesh.total_area)
 
 
 def detect_stable_regions(mesh, basis, params=None):
@@ -153,14 +153,11 @@ def detect_stable_regions(mesh, basis, params=None):
     Each eigenfunction costs one union-find sweep over the mesh edges,
     sorted by the threshold level at which they become active; ``levels``
     only sets how fine the threshold grid is, not how many graphs are
-    built.  Candidates are sorted by their prefix-sum areas; only runs of
-    them closer than twice the slack of those areas, and the regions kept
-    after the dedup, are summed again in vertex-index order.  So the order
-    and the area fractions are those of index-order sums throughout.
-    Deterministic: same mesh and basis give the identical RegionSet.
-    Returns regions sorted by descending area, ties in detection order.
-    Raises ValueError when the basis carries fewer than ``num_functions``
-    nontrivial eigenfunctions or when no region survives the filters.
+    built.  Deterministic: same mesh and basis give the identical
+    RegionSet.  Returns regions sorted by descending area, ties in
+    detection order.  Raises ValueError when the basis carries fewer than
+    ``num_functions`` nontrivial eigenfunctions or when no region survives
+    the filters.
     """
     params = params or DetectorParams()
     if basis.num_vertices != mesh.num_vertices:
@@ -170,82 +167,43 @@ def detect_stable_regions(mesh, basis, params=None):
             f"need {params.num_functions} nontrivial eigenfunctions, basis "
             f"has {basis.size - 1}")
 
-    candidates = []  # (area within the slack, members) in detection order
+    units = _area_units(mesh.vertex_areas)
+    areas, candidates = [], []  # in detection order
     seen = set()  # packed memberships, cheap exact dedup before Jaccard
     for fn in range(1, params.num_functions + 1):
         phi = basis.functions[:, fn]
-        for area, members in _stable_components(mesh, phi, params):
+        for area, members in _stable_components(mesh, phi, params, units):
             key = np.packbits(members).tobytes()
             if key not in seen:
                 seen.add(key)
-                candidates.append((area, members))
+                areas.append(area)
+                candidates.append(members)
 
     # greedy Jaccard dedup, larger regions take precedence
-    slack = _area_slack(mesh.num_vertices, mesh.total_area)
-    ranked = [candidates[i][1] for i in _area_order(candidates, mesh.vertex_areas, slack)]
-    kept = [ranked[i] for i in _greedy_dedup(ranked, params.dedup_overlap)]
-
-    total = mesh.total_area
-    area = np.array([_index_order_area(mesh.vertex_areas, m) for m in kept])
-    large = np.flatnonzero(area / total >= params.min_area_frac)
-    if not len(large):
+    areas = np.array(areas, dtype=np.float64)
+    ranked = np.argsort(-areas, kind="stable")
+    kept = ranked[_greedy_dedup([candidates[i] for i in ranked], params.dedup_overlap)]
+    fractions = areas[kept] / mesh.total_area
+    large = fractions >= params.min_area_frac
+    if not large.any():
         raise ValueError("no regions detected; relax the area or stability limits")
-    return RegionSet(members=np.array([kept[i] for i in large]),
-                     area_fractions=area[large] / total)
+    return RegionSet(members=np.array([candidates[i] for i in kept[large]]),
+                     area_fractions=fractions[large])
 
 
-def _index_order_area(vertex_areas, members):
-    """Area of a vertex set, summed term by term in vertex-index order.
+def _area_units(vertex_areas):
+    """Vertex areas as Python ints n and a power of two d, area i = n[i] / d.
 
-    The same vertex set gives the same float whatever order a sweep
-    joined it in.  ``members`` is a bool row or an index array.
+    A sum of areas is then an exact integer sum, and dividing it by ``d``
+    rounds it to the nearest float once, as ``math.fsum`` does.
     """
-    index = np.flatnonzero(members) if members.dtype == bool else np.sort(members)
-    return np.cumsum(vertex_areas[index])[-1]
-
-
-def _area_slack(m, total):
-    """Largest gap between a prefix-sum area and the index-order area.
-
-    For any vertex set of a mesh with ``m`` vertices and area ``total``,
-    the difference of two prefix sums of the vertex areas (in any order)
-    that holds exactly its members lies within the returned slack of
-    :func:`_index_order_area` of it.
-
-    Why it holds.  With u = 2**-53 and nonnegative terms, a running sum
-    of j terms errs by at most g_j = j u / (1 - j u) times the exact sum
-    of its terms, and so by g_m T, T the exact total.  The two prefix
-    sums then err by 2 g_m T together, their difference rounds by
-    u (T + 2 g_m T) more, and the index-order sum of the members errs by
-    g_m T.  So the gap is at most (3 m + 1) u T to first order.
-    ``total`` is a float sum of the face or the vertex areas, off from T
-    by a relative 2 m u at most.  For m < 2**30 that and the second-order
-    terms stay below a relative 2**-10, which the last factor covers.
-    Additions round relative to their result even among subnormal
-    floats, so no absolute term is needed.
-    """
-    return (3 * m + 1) * 2.0 ** -53 * total * (1 + 2.0 ** -10)
-
-
-def _area_order(candidates, vertex_areas, slack):
-    """Indices of ``(area, members)`` candidates by descending area.
-
-    The order is that of the members' index-order areas, ties in list
-    order.  The given areas lie within ``slack`` of those, so two
-    candidates whose given areas differ by more than ``2 * slack`` keep
-    their order; only runs of neighbours closer than that are summed in
-    index order and sorted again.
-    """
-    approx = np.array([area for area, _ in candidates], dtype=np.float64)
-    order = np.argsort(-approx, kind="stable")
-    close = np.append(np.diff(approx[order]) >= -2 * slack, False)
-    # runs of close neighbours: order[lo:hi + 1] for each (lo, hi)
-    bounds = np.flatnonzero(np.diff(np.concatenate([[False], close])))
-    for lo, hi in bounds.reshape(-1, 2):
-        run = order[lo:hi + 1]
-        exact = np.array([_index_order_area(vertex_areas, candidates[i][1]) for i in run])
-        order[lo:hi + 1] = run[np.lexsort((run, -exact))]
-    return order.tolist()
+    mantissa, exponent = np.frexp(vertex_areas)
+    # area = (mantissa * 2**53) * 2**(exponent - 53), the first factor an
+    # integer; 2**low divides every second factor and is below 1
+    low = int(exponent.min(initial=0)) - 53
+    return ([int(n) << s for n, s in zip((mantissa * 2.0**53).tolist(),
+                                          (exponent - 53 - low).tolist())],
+            1 << -low)
 
 
 def _greedy_dedup(members, overlap):
@@ -279,7 +237,7 @@ def _greedy_dedup(members, overlap):
     return kept
 
 
-def _stable_components(mesh, phi, params):
+def _stable_components(mesh, phi, params, units):
     """Yield (area, members) of area-stable superlevel components of phi.
 
     A component chain is identified by its peak vertex (largest phi,
@@ -287,11 +245,8 @@ def _stable_components(mesh, phi, params):
     threshold drops, and when two merge the joint peak is the higher one,
     so each local maximum traces one chain over a contiguous run of
     levels.  Each stable component is yielded once, in (peak, level)
-    order.  Its area is a difference of two prefix sums of the vertex
-    areas in sweep order, within ``_area_slack`` of its index-order area.
-    The stability windows are those of index-order areas: a chain with a
-    window whose spread lies within the margin of its limit is summed
-    again in index order and tested on those areas.
+    order.  ``units`` are the vertex areas from :func:`_area_units`; a
+    component's area is their exact sum over its members, rounded once.
     """
     lo, hi = float(phi.min()), float(phi.max())
     if hi - lo <= 1e-12 * max(abs(hi), abs(lo), 1.0):
@@ -306,18 +261,10 @@ def _stable_components(mesh, phi, params):
     position = np.empty(m, dtype=np.int64)
     position[order] = np.arange(m)
     # the component of ``size`` vertices at ``peak`` is order[p:p + size],
-    # p = position[peak], with area prefix[p + size] - prefix[p]
-    prefix = np.concatenate([[0.0], np.cumsum(mesh.vertex_areas[order])])
+    # p = position[peak], with area (prefix[p + size] - prefix[p]) / denominator
+    numerators, denominator = units
+    prefix = list(accumulate(map(numerators.__getitem__, order.tolist()), initial=0))
     tol = params.stability_tol
-    # Why the margin holds.  Let a, b be the spread and tol * mid of a
-    # window on index-order areas, and a', b' the same on prefix-sum
-    # areas, each area within d = _area_slack of its index-order value.
-    # Rounding is monotone, so |a - a'| <= 2 d + 2 u T and
-    # |b - b'| <= tol d + 2 u tol T (u = 2**-53, T the total area), and
-    # the computed a' - b' rounds by u (1 + tol) T more.  As d >= 4 u T,
-    # 4 (1 + tol) d covers the sum, and 2**-1000 any underflow of tol * mid.
-    # So outside the margin a' < b' decides as a < b does.
-    margin = 4 * (1 + tol) * _area_slack(m, mesh.total_area) + 2.0 ** -1000
 
     w = params.stability_window
     for peak in sorted(changes):
@@ -327,29 +274,18 @@ def _stable_components(mesh, phi, params):
         if last - first + 1 < w:
             continue
         change_levels, sizes = np.array(chain).T
-        start = position[peak]
-        repeats = np.diff(np.append(change_levels, last + 1))
-        chain_area = prefix[start + sizes] - prefix[start]
-        stable, unsure = _stable_windows(np.repeat(chain_area, repeats), w, tol, margin)
-        if unsure:
-            chain_area = np.array([_index_order_area(mesh.vertex_areas, order[start:start + size])
-                                   for size in sizes])
-            stable = _stable_windows(np.repeat(chain_area, repeats), w, tol, margin)[0]
+        start = int(position[peak])
+        chain_area = np.array([(prefix[start + size] - prefix[start]) / denominator
+                               for size in sizes.tolist()])
+        area = np.repeat(chain_area, np.diff(np.append(change_levels, last + 1)))
+        count = len(area) - w + 1
+        # areas only grow along a chain, so a window's spread is last - first
+        stable = area[w - 1:] - area[:count] < tol * area[w // 2:w // 2 + count]
         mid_levels = first + w // 2 + np.flatnonzero(stable)
         for j in np.unique(np.searchsorted(change_levels, mid_levels, side="right") - 1):
             members = np.zeros(m, dtype=bool)
             members[order[start:start + sizes[j]]] = True
             yield chain_area[j], members
-
-
-def _stable_windows(area, w, tol, margin):
-    """Which windows of ``w`` levels of a chain's ``area`` are stable, and
-    whether any of them lies within ``margin`` of its limit."""
-    count = len(area) - w + 1
-    # areas only grow along a chain, so a window's spread is last - first
-    spread = area[w - 1:] - area[:count]
-    limit = tol * area[w // 2:w // 2 + count]
-    return spread < limit, bool((np.abs(spread - limit) <= margin).any())
 
 
 def _merge_sweep(edges, vertex_level, rank, levels):

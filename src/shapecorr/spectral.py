@@ -68,6 +68,9 @@ class SpectralBasis:
             raise ValueError(f"expected {n} eigenvalues, got {ev.shape}")
         if mass.shape != (m,):
             raise ValueError(f"expected {m} vertex masses, got {mass.shape}")
+        for name, arr in (("functions", phi), ("eigenvalues", ev), ("masses", mass)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"basis {name} must be finite")
         if (mass <= 0).any():
             raise ValueError("vertex masses must be positive")
         if (np.diff(ev) < 0).any():

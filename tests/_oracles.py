@@ -1,5 +1,6 @@
 """Slow, independent reference implementations used to check the fast code."""
 
+import math
 from itertools import permutations
 
 import numpy as np
@@ -192,8 +193,9 @@ def refine_icp_all_rows(basis_x, basis_y, initial_map, max_iters=30):
 def stable_components_levelwise(mesh, phi, params):
     """Stable superlevel components with the components rebuilt per level.
 
-    Same contract as ``regions._stable_components``; may yield the same
-    component more than once (once per stable window through it).
+    Same contract as ``regions._stable_components``, less its ``units``:
+    areas are ``math.fsum`` of the members' vertex areas.  May yield the
+    same component more than once (once per stable window through it).
     """
     lo, hi = float(phi.min()), float(phi.max())
     if hi - lo <= 1e-12 * max(abs(hi), abs(lo), 1.0):
@@ -218,7 +220,10 @@ def stable_components_levelwise(mesh, phi, params):
         full[idx] = sub_labels
         labels_per_level.append(full)
 
-        comp_area = np.bincount(sub_labels, weights=areas[idx])
+        # exact sum of each component's vertex areas, rounded once
+        by_label = np.argsort(sub_labels, kind="stable")
+        comp_area = [math.fsum(part) for part in np.split(
+            areas[idx][by_label], np.cumsum(np.bincount(sub_labels))[:-1])]
         # peak per component = active vertex with the largest phi
         order = np.argsort(-phi[idx], kind="stable")
         _, first = np.unique(sub_labels[order], return_index=True)

@@ -292,7 +292,8 @@ class TestPipeline:
 # (argv, exit code, stderr text); {file} is an existing plain file, {guess}
 # the env config with an unknown region_source, {regions} a region file
 # with a bad index on line 2, {b12} the target basis cache cut to 12
-# functions
+# functions, {bnan} the target basis cache with a NaN function value,
+# {nanmap} a 20 x 20 functional map with one NaN entry
 FAILURES = [
     ("run --config {cfg} --out-dir {file}", 2, "stage output: [Errno 17]"),
     ("run --config {cfg} --out-dir {file}/out", 2, "stage output: [Errno 20]"),
@@ -347,6 +348,10 @@ FAILURES = [
      "got (5, 5)"),
     ("refine --basis-x {bx} --basis-y {by} --fmap {empty} -o {tmp}/ref", 2,
      "stage refine: {empty}: empty functional map"),
+    ("refine --basis-x {bx} --basis-y {by} --fmap {nanmap} -o {tmp}/ref", 2,
+     "stage refine: {nanmap}: functional map entries must be finite"),
+    ("refine --basis-x {bx} --basis-y {bnan} --fmap {fmap} -o {tmp}/ref", 2,
+     "stage refine: basis functions must be finite"),
     ("refine --basis-x {bx} --basis-y {b12} --fmap {fmap} -o {tmp}/ref", 2,
      "stage refine: {bx} and {b12}: basis sizes differ: 20 vs 12"),
 ]
@@ -365,6 +370,11 @@ class TestMain:
         by = load_basis(env["tmp"] / "by.bin")
         cut = SpectralBasis(by.functions[:, :12], by.eigenvalues[:12], by.masses)
         save_basis(cut, tmp_path / "b12.bin")
+        blob = (env["tmp"] / "by.bin").read_bytes()
+        (tmp_path / "bnan.bin").write_bytes(blob[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+        nanmap = np.eye(20)
+        nanmap[3, 4] = np.nan
+        np.savetxt(tmp_path / "nanmap.txt", nanmap)
         out_a = env["tmp"] / "out"
         paths = {"tmp": tmp_path, "file": tmp_path / "file",
                  "cfg": env["tmp"] / "config.cfg", "x": env["tmp"] / "x.off",
@@ -374,7 +384,8 @@ class TestMain:
                  "map": out_a / "point_map.txt",
                  "guess": tmp_path / "guess.cfg", "regions": tmp_path / "regions.txt",
                  "small": tmp_path / "small.txt", "empty": tmp_path / "empty.txt",
-                 "b12": tmp_path / "b12.bin"}
+                 "b12": tmp_path / "b12.bin", "bnan": tmp_path / "bnan.bin",
+                 "nanmap": tmp_path / "nanmap.txt"}
         bases = []
         mesh_basis = cli._mesh_basis
         monkeypatch.setattr(cli, "_mesh_basis",

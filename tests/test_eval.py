@@ -69,6 +69,16 @@ class TestCorrespondenceError:
         with pytest.raises(ValueError, match="diameter must be positive"):
             correspondence_error(np.array([0]), np.array([1]), tetra, diameter=0.0)
 
+    def test_negative_index_rejected(self):
+        # -1 would otherwise index the last vertex and score its distance
+        mesh = _meshes.icosphere(2)
+        truth = np.arange(mesh.num_vertices)
+        predicted = truth.copy()
+        predicted[0] = -1
+        for args in ((predicted, truth), (truth, predicted)):
+            with pytest.raises(ValueError, match="out of range"):
+                correspondence_error(*args, mesh)
+
 
 @pytest.fixture(scope="module")
 def jitter_pair(creature4_basis, creature4_jitter_match):
@@ -226,3 +236,12 @@ class TestExport:
         with pytest.raises(ValueError, match="out of range"):
             export_colored_ply(tetra, tetra, PointMap(np.array([0, 1, 2, 9])),
                                tmp_path / "x.ply", tmp_path / "y.ply")
+
+    def test_negative_index_rejected(self, tmp_path):
+        # a raw array skips PointMap's check; -1 would take the last color
+        mesh = _meshes.icosphere(2)
+        indices = np.arange(mesh.num_vertices)
+        indices[0] = -1
+        with pytest.raises(ValueError, match="out of range"):
+            export_colored_ply(mesh, mesh, indices, tmp_path / "x.ply", tmp_path / "y.ply")
+        assert not (tmp_path / "x.ply").exists()

@@ -1,5 +1,6 @@
 """Stable-region detection, region sets, and the region file format."""
 
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -154,8 +155,8 @@ class TestDetector:
         assert (creature4_regions.area_fractions >= 0.05).all()
         assert creature4_regions.connected_flags(creature4).all()
         recomputed = regions_from_members(creature4_regions.members, creature4)
-        assert np.allclose(recomputed.area_fractions,
-                           creature4_regions.area_fractions)
+        assert np.array_equal(recomputed.area_fractions,
+                              creature4_regions.area_fractions)
 
     def test_dedup_bounds_overlap(self, creature4_regions):
         members = creature4_regions.members
@@ -190,9 +191,9 @@ def _detect_recording(mesh, basis, params, sweep, monkeypatch):
     """
     per_function = []
 
-    def recording(mesh, phi, params):
+    def recording(mesh, phi, params, units):
         seen, out = set(), []
-        for area, members in sweep(mesh, phi, params):
+        for area, members in sweep(mesh, phi, params, units):
             if members.tobytes() not in seen:
                 seen.add(members.tobytes())
                 out.append((area, members))
@@ -205,21 +206,21 @@ def _detect_recording(mesh, basis, params, sweep, monkeypatch):
     return found, per_function
 
 
+def _levelwise(mesh, phi, params, units):
+    return _oracles.stable_components_levelwise(mesh, phi, params)
+
+
 def _assert_sweep_matches_oracle(mesh, basis, params, monkeypatch):
     fast, fast_parts = _detect_recording(
         mesh, basis, params, regions_module._stable_components, monkeypatch)
     slow, slow_parts = _detect_recording(
-        mesh, basis, params, _oracles.stable_components_levelwise, monkeypatch)
+        mesh, basis, params, _levelwise, monkeypatch)
     assert len(fast_parts) == len(slow_parts) == params.num_functions
-    slack = regions_module._area_slack(mesh.num_vertices, mesh.total_area)
     for got, want in zip(fast_parts, slow_parts):
         assert len(got) == len(want)
         for (area, members), (area_want, members_want) in zip(got, want):
             assert np.array_equal(members, members_want)
-            # the index-order area of the members is the oracle's, bit for
-            # bit; the sweep's own prefix-sum area is within the slack of it
-            assert np.cumsum(mesh.vertex_areas[np.flatnonzero(members)])[-1] == area_want
-            assert abs(area - area_want) <= slack
+            assert area == area_want
     assert np.array_equal(fast.members, slow.members)
     assert np.array_equal(fast.area_fractions, slow.area_fractions)
 
@@ -274,66 +275,68 @@ def _path_mesh(vertex_areas):
     edges = np.column_stack([np.arange(m - 1), np.arange(1, m)])
     graph = sparse.coo_matrix((np.ones(m - 1), edges.T), shape=(m, m)).tocsr()
     return SimpleNamespace(num_vertices=m, edges=edges, vertex_areas=areas,
-                           total_area=float(areas.sum()), edge_graph=graph + graph.T)
+                           total_area=math.fsum(areas), edge_graph=graph + graph.T)
 
 
-class TestAreaSettle:
-    """Prefix-sum areas, and the index-order sums where they could differ."""
+class TestExactArea:
+    """A region's area is the exact sum of its vertex areas, rounded once."""
 
     @settings(max_examples=200, deadline=None)
     @given(m=st.integers(1, 400), decades=st.integers(0, 15),
            seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_prefix_difference_within_slack(self, m, decades, seed, data):
+    def test_prefix_difference_is_fsum(self, m, decades, seed, data):
         # areas over many decades, a random sweep order, nested components
         # sharing a start as along one chain
         rng = np.random.default_rng(seed)
         areas = 10.0 ** rng.uniform(-decades, 0, m)
         order = rng.permutation(m)
-        prefix = np.concatenate([[0.0], np.cumsum(areas[order])])
+        numerators, denominator = regions_module._area_units(areas)
+        assert [n / denominator for n in numerators] == areas.tolist()
+        prefix = np.cumsum([0] + [numerators[v] for v in order], dtype=object)
         start = data.draw(st.integers(0, m - 1))
-        sizes = np.unique(rng.integers(1, m - start + 1, 8))
-        slack = regions_module._area_slack(m, float(areas.sum()))
-        for size in sizes:
-            exact = np.cumsum(areas[np.sort(order[start:start + size])])[-1]
-            assert abs((prefix[start + size] - prefix[start]) - exact) <= slack
+        for size in np.unique(rng.integers(1, m - start + 1, 8)):
+            members = order[start:start + size]
+            got = (prefix[start + size] - prefix[start]) / denominator
+            assert got == math.fsum(areas[members])
+            assert got == math.fsum(areas[np.sort(members)[::-1]])
 
-    def test_window_within_margin_is_settled(self):
-        # on the path 0 - 1 - 2 with phi rising along it, the chain of vertex
-        # 2 is {2}, {1, 2}, {0, 1, 2}.  With u = 2**-53 the last has
-        # index-order area (1 + u) + u, which rounds to 1, and prefix-sum
-        # area 2u + 1 = 1 + 2u.  So its window is stable on index-order
-        # areas (spread 1 - 2u < (1 - u) * 1) and not on prefix-sum ones
-        # (spread 1, and (1 - u) * (1 + 2u) rounds to 1)
-        mesh = _path_mesh([1.0, 2.0**-53, 2.0**-53])
-        phi = np.array([0.0, 1.0, 2.0])
+    def test_order_dependent_float_sums(self):
+        # on the path 0 - 1 - 2 with phi falling along it, the chain of
+        # vertex 0 is {0}, {0, 1}, {0, 1, 2}.  With u = 2**-53 their exact
+        # areas round to 1, 1 and 1 + 2u, so only the window over the first
+        # two is stable at tol u.  A float sum in sweep or index order
+        # gives the last area 1 too, and its window would be stable as well
+        areas = [1.0, 2.0**-53, 2.0**-53]
+        assert (1.0 + areas[1]) + areas[2] == 1.0
+        mesh = _path_mesh(areas)
+        phi = np.array([2.0, 1.0, 0.0])
         params = DetectorParams(num_functions=1, levels=3, stability_window=2,
-                                stability_tol=1 - 2.0**-53, min_area_frac=0.0)
-        got = list(regions_module._stable_components(mesh, phi, params))
+                                stability_tol=2.0**-53, min_area_frac=0.0)
+        units = regions_module._area_units(mesh.vertex_areas)
+        got = list(regions_module._stable_components(mesh, phi, params, units))
         want = list(_oracles.stable_components_levelwise(mesh, phi, params))
-        assert [members.tolist() for _, members in got] == \
-            [[False, True, True], [True, True, True]]
-        assert [members.tolist() for _, members in want] == \
-            [members.tolist() for _, members in got]
-        assert [area for area, _ in want] == [2.0**-52, 1.0]
+        for found in (got, want):
+            assert [(area, members.tolist()) for area, members in found] == \
+                [(1.0, [True, True, False])]
+        basis = SimpleNamespace(num_vertices=3, size=2,
+                                functions=np.column_stack([np.zeros(3), phi]))
+        regions = detect_stable_regions(mesh, basis, params)
+        assert regions.members.tolist() == [[True, True, False]]
+        assert np.array_equal(regions.area_fractions,
+                              regions_from_members(regions.members, mesh).area_fractions)
 
-    def test_close_areas_sorted_and_kept_by_index_order_sums(self, monkeypatch):
-        # three single vertices of index-order area 1 whose sweep areas
-        # differ within the slack: ties go in detection order, and the area
-        # floor and fractions read the index-order areas
-        mesh = _path_mesh(np.ones(4))
+    def test_equal_areas_keep_detection_order(self, monkeypatch):
+        mesh = _path_mesh([1.0, 2.0, 1.0, 2.0])
         basis = SimpleNamespace(num_vertices=4, size=2, functions=np.zeros((4, 2)))
-        found = [(1.0, 0), (1.0 + 2.0**-52, 1), (1.0 - 2.0**-52, 3)]
-        assert all(abs(a - 1.0) <= regions_module._area_slack(4, 4.0) for a, _ in found)
 
-        def sweep(mesh, phi, params):
-            for area, vertex in found:
-                yield area, np.arange(4) == vertex
+        def sweep(mesh, phi, params, units):
+            for vertex in range(4):
+                yield mesh.vertex_areas[vertex], np.arange(4) == vertex
 
         monkeypatch.setattr(regions_module, "_stable_components", sweep)
-        got = detect_stable_regions(mesh, basis, DetectorParams(num_functions=1,
-                                                                min_area_frac=0.25))
-        assert np.array_equal(got.members, np.eye(4, dtype=bool)[[0, 1, 3]])
-        assert got.area_fractions.tolist() == [0.25, 0.25, 0.25]
+        got = detect_stable_regions(mesh, basis, DetectorParams(num_functions=1))
+        assert np.array_equal(got.members, np.eye(4, dtype=bool)[[1, 3, 0, 2]])
+        assert got.area_fractions.tolist() == [2 / 6, 2 / 6, 1 / 6, 1 / 6]
 
 
 def _assert_dedup_matches_oracle(mesh, basis, params, monkeypatch):
@@ -421,7 +424,7 @@ class TestRegionFiles:
         save_regions(creature4_regions, path)
         back = load_regions(path, creature4)
         assert np.array_equal(back.members, creature4_regions.members)
-        assert np.allclose(back.area_fractions, creature4_regions.area_fractions)
+        assert np.array_equal(back.area_fractions, creature4_regions.area_fractions)
 
     def test_comments_blanks_duplicates(self, tetra, tmp_path):
         path = tmp_path / "regions.txt"
