@@ -3,18 +3,21 @@
 Candidate regions are connected superlevel-set components of the leading
 nontrivial eigenfunctions whose area stays nearly constant over a run of
 thresholds, the discrete analogue of maximally stable extremal regions.
-Each eigenfunction is swept once: a union-find pass over the mesh edges,
-in the order they enter the superlevel sets, builds the merge tree of
-those components on the whole threshold grid (the component tree of
-linear-time MSER, Nister & Stewenius 2008), and the stability test reads
-component areas off the tree.  No per-level graph is built, so the
+Each eigenfunction is read off one minimum spanning forest of the mesh
+edges: the level at which a vertex joins a local maximum's component is
+the largest vertex level on the forest path between the two (minimax
+paths, Hu 1961), so a breadth-first pass from each maximum gives its
+whole chain of components on the threshold grid (the component tree of
+MSER, Nister & Stewenius 2008).  No per-level graph is built, so the
 number of levels sets the threshold grid only.
 
 A region's area is the exact sum of its vertex areas, rounded once to
 the nearest float, wherever it is computed: the vertex areas are integer
 multiples of one power-of-two unit, so the sum does not depend on the
-order of its terms.  Every component is a slice of the sweep's vertex
-order, and its area a difference of two integer prefix sums in that order.
+order of its terms.  Every component of a chain is a prefix of the
+chain's vertex order, and its area an integer prefix sum in that order.
+Candidates stay such slices until the regions kept by the overlap dedup
+get their member rows.
 
 Regions are plain vertex indicator rows plus their relative areas; no
 mesh reference is kept, so a RegionSet stays valid as long as vertex
@@ -52,12 +55,12 @@ class DetectorParams:
     """Knobs of the stable-region sweep.
 
     num_functions nontrivial eigenfunctions are swept over ``levels``
-    uniform thresholds each (one merge-tree pass per function, whatever
-    the number of levels); a component is emitted once its relative
-    area change across ``stability_window`` consecutive thresholds drops
-    below ``stability_tol``.  Near-duplicates above ``dedup_overlap``
-    Jaccard overlap collapse to the larger region, and regions below
-    ``min_area_frac`` of the total surface are discarded.
+    uniform thresholds each (one spanning-forest pass per function,
+    whatever the number of levels); a component is emitted once its
+    relative area change across ``stability_window`` consecutive
+    thresholds drops below ``stability_tol``.  Near-duplicates above
+    ``dedup_overlap`` Jaccard overlap collapse to the larger region, and
+    regions below ``min_area_frac`` of the total surface are discarded.
     """
 
     num_functions: int = 8
@@ -150,8 +153,8 @@ def regions_from_members(members, mesh):
 def detect_stable_regions(mesh, basis, params=None):
     """Detect area-stable superlevel regions of the leading eigenfunctions.
 
-    Each eigenfunction costs one union-find sweep over the mesh edges,
-    sorted by the threshold level at which they become active; ``levels``
+    Each eigenfunction costs one minimum spanning forest of the mesh
+    edges and one breadth-first pass over it per local maximum; ``levels``
     only sets how fine the threshold grid is, not how many graphs are
     built.  Deterministic: same mesh and basis give the identical
     RegionSet.  Returns regions sorted by descending area, ties in
@@ -168,27 +171,29 @@ def detect_stable_regions(mesh, basis, params=None):
             f"has {basis.size - 1}")
 
     units = _area_units(mesh.vertex_areas)
-    areas, candidates = [], []  # in detection order
-    seen = set()  # packed memberships, cheap exact dedup before Jaccard
-    for fn in range(1, params.num_functions + 1):
-        phi = basis.functions[:, fn]
-        for area, members in _stable_components(mesh, phi, params, units):
-            key = np.packbits(members).tobytes()
-            if key not in seen:
-                seen.add(key)
-                areas.append(area)
-                candidates.append(members)
+    # every function's candidates are slices of its own vertex order; put
+    # the orders end to end, candidates in detection order
+    parts = [_stable_components(mesh, basis.functions[:, fn], params, units)
+             for fn in range(1, params.num_functions + 1)]
+    offsets = np.cumsum([0] + [len(part[0]) for part in parts])
+    order = np.concatenate([part[0] for part in parts])
+    starts = np.concatenate([part[1] + offset for part, offset in zip(parts, offsets)])
+    sizes = np.concatenate([part[2] for part in parts])
+    areas = np.concatenate([part[3] for part in parts])
 
     # greedy Jaccard dedup, larger regions take precedence
-    areas = np.array(areas, dtype=np.float64)
     ranked = np.argsort(-areas, kind="stable")
-    kept = ranked[_greedy_dedup([candidates[i] for i in ranked], params.dedup_overlap)]
+    kept = ranked[_greedy_dedup(mesh.num_vertices, order, starts[ranked], sizes[ranked],
+                                params.dedup_overlap)]
     fractions = areas[kept] / mesh.total_area
     large = fractions >= params.min_area_frac
     if not large.any():
         raise ValueError("no regions detected; relax the area or stability limits")
-    return RegionSet(members=np.array([candidates[i] for i in kept[large]]),
-                     area_fractions=fractions[large])
+    kept = kept[large]
+    members = np.zeros((len(kept), mesh.num_vertices), dtype=bool)
+    for row, start, size in zip(members, starts[kept], sizes[kept]):
+        row[order[start:start + size]] = True
+    return RegionSet(members=members, area_fractions=fractions[large])
 
 
 def _area_units(vertex_areas):
@@ -206,154 +211,143 @@ def _area_units(vertex_areas):
             1 << -low)
 
 
-def _greedy_dedup(members, overlap):
-    """Indices of the rows kept by a greedy Jaccard dedup, in order.
+def _greedy_dedup(m, order, starts, sizes, overlap):
+    """Indices of the slices kept by a greedy Jaccard dedup, in order.
 
-    A row is dropped when its Jaccard overlap with an earlier kept row
-    exceeds ``overlap``.  The kept rows are held as a 0/1 matrix, so one
-    mat-vec gives a row's intersections with all of them; the counts are
-    integers, exact in float32 below 2**24 vertices, and the overlaps are
-    the same correctly rounded quotients as pairwise integer counts give.
+    Slice i is the set of ``sizes[i]`` distinct vertices (of ``m``) at
+    ``order[starts[i]:]``.  It is dropped when its Jaccard overlap with an
+    earlier kept slice exceeds ``overlap`` or is 1, so exact repeats go
+    whatever the limit.  Slices that share a start are prefixes of one
+    another: each kept slice marks its vertices, and one running count of
+    the marks along every start still in play, up to its longest slice
+    not yet decided, gives the intersections with all of those slices.
+    The overlaps are the correctly rounded quotients of integer counts.
     """
-    if not members:
-        return []
-    m = len(members[0])
-    dtype = np.float32 if m < 2**24 else np.float64
-    rows = np.empty((16, m), dtype=dtype)
-    sizes = np.empty(16)
+    inside = np.zeros(m, dtype=bool)
     kept = []
-    for i, row in enumerate(members):
-        size = np.count_nonzero(row)
-        k = len(kept)
-        inter = rows[:k] @ row.astype(dtype)
-        if (inter / (size + sizes[:k] - inter) > overlap).any():
-            continue
-        if k == len(rows):  # grow by doubling
-            rows = np.concatenate([rows, np.empty_like(rows)])
-            sizes = np.concatenate([sizes, np.empty_like(sizes)])
-        rows[k] = row
-        sizes[k] = size
-        kept.append(i)
+    rest = np.arange(len(starts))
+    while len(rest):
+        i, rest = rest[0], rest[1:]
+        kept.append(int(i))
+        if not len(rest):
+            break
+        inside[:] = False
+        inside[order[starts[i]:starts[i] + sizes[i]]] = True
+        start, at = np.unique(starts[rest], return_inverse=True)
+        length = np.zeros(len(start), dtype=np.int64)
+        np.maximum.at(length, at, sizes[rest])
+        # the spans end to end; span k begins at base[k]
+        base = np.cumsum(length) - length
+        span = np.repeat(start - base, length) + np.arange(base[-1] + length[-1])
+        count = np.concatenate([[0], np.cumsum(inside[order[span]])])
+        inter = count[base[at] + sizes[rest]] - count[base[at]]
+        union = sizes[i] + sizes[rest] - inter
+        rest = rest[(inter / union <= overlap) & (inter < union)]
     return kept
 
 
 def _stable_components(mesh, phi, params, units):
-    """Yield (area, members) of area-stable superlevel components of phi.
+    """Area-stable superlevel components of phi, as slices of one vertex order.
 
+    Returns ``(order, starts, sizes, areas)``: component k is the set of
+    ``sizes[k]`` vertices at ``order[starts[k]:]``, its area ``areas[k]``.
     A component chain is identified by its peak vertex (largest phi,
     smallest index on ties): superlevel components only grow as the
     threshold drops, and when two merge the joint peak is the higher one,
     so each local maximum traces one chain over a contiguous run of
-    levels.  Each stable component is yielded once, in (peak, level)
-    order.  ``units`` are the vertex areas from :func:`_area_units`; a
+    levels.  Each stable component comes once, in (peak, level) order.
+    ``units`` are the vertex areas from :func:`_area_units`; a
     component's area is their exact sum over its members, rounded once.
+
+    A minimum spanning forest under edge level (the later level of the
+    two endpoints) joins the same components at every level as the whole
+    mesh, and holds every minimax path (Hu 1961): a vertex is in a peak's
+    component from the largest vertex level on the forest path between
+    the two.  Those levels order the chain's members so that each of its
+    components is a prefix.
     """
     lo, hi = float(phi.min()), float(phi.max())
     if hi - lo <= 1e-12 * max(abs(hi), abs(lo), 1.0):
-        return  # constant function has no level-set structure
-    thresholds = np.linspace(hi, lo, params.levels)
+        return _no_components()  # constant function has no level-set structure
+    levels, w, tol = params.levels, params.stability_window, params.stability_tol
+    thresholds = np.linspace(hi, lo, levels)
     m = len(phi)
     # first level whose superlevel set phi >= t holds the vertex
     vertex_level = np.searchsorted(-thresholds, -phi)
+    by_rank = np.argsort(-phi, kind="stable")
     rank = np.empty(m, dtype=np.int64)
-    rank[np.argsort(-phi, kind="stable")] = np.arange(m)
-    changes, died, order = _merge_sweep(mesh.edges, vertex_level, rank, params.levels)
-    position = np.empty(m, dtype=np.int64)
-    position[order] = np.arange(m)
-    # the component of ``size`` vertices at ``peak`` is order[p:p + size],
-    # p = position[peak], with area (prefix[p + size] - prefix[p]) / denominator
-    numerators, denominator = units
-    prefix = list(accumulate(map(numerators.__getitem__, order.tolist()), initial=0))
-    tol = params.stability_tol
+    rank[by_rank] = np.arange(m)
+    edges = mesh.edges
+    edge_level = np.maximum(vertex_level[edges[:, 0]], vertex_level[edges[:, 1]])
+    forest = csgraph.minimum_spanning_tree(sparse.csr_matrix(
+        (edge_level + 1.0, (edges[:, 0], edges[:, 1])), shape=(m, m))).tocoo()
+    tree = (forest + forest.T).tocsr()
 
-    w = params.stability_window
-    for peak in sorted(changes):
-        chain = changes[peak]
-        first = chain[0][0]
-        last = died.get(peak, params.levels) - 1
-        if last - first + 1 < w:
+    # a chain starts at a plateau (vertices of one level joined by forest
+    # edges) that no forest neighbour enters before; its peak is the
+    # plateau's vertex of lowest rank.  Any other vertex meets one of lower
+    # rank at its own level, so its chain would be empty: this spares passes
+    u, v = forest.row, forest.col
+    flat = vertex_level[u] == vertex_level[v]
+    n_plateaus, plateau = csgraph.connected_components(sparse.csr_matrix(
+        (np.ones(np.count_nonzero(flat)), (u[flat], v[flat])), shape=(m, m)),
+        directed=False)
+    later = np.where(vertex_level[u] > vertex_level[v], u, v)[~flat]
+    opens = np.ones(n_plateaus, dtype=bool)
+    opens[plateau[later]] = False
+    labels, first = np.unique(plateau[by_rank], return_index=True)
+    peaks = np.sort(by_rank[first[opens[labels]]])
+
+    numerators, denominator = units
+    orders, starts, sizes, areas = [], [], [], []
+    offset = 0
+    for peak in peaks.tolist():
+        reached, parent = csgraph.breadth_first_order(
+            tree, peak, directed=True, return_predecessors=True)
+        # join[x]: largest vertex level on the forest path from the peak
+        # to x, by pointer doubling up the breadth-first tree
+        join = np.full(m, levels, dtype=np.int64)
+        join[reached] = vertex_level[reached]
+        up = np.arange(m)
+        up[reached[1:]] = parent[reached[1:]]
+        while True:
+            np.maximum(join, join[up], out=join)
+            upper = up[up]
+            if np.array_equal(upper, up):
+                break
+            up = upper
+        # the chain ends where it meets a vertex of lower rank
+        first_level = int(vertex_level[peak])
+        last = int(join[rank < rank[peak]].min(initial=levels)) - 1
+        if last - first_level + 1 < w:
             continue
-        change_levels, sizes = np.array(chain).T
-        start = int(position[peak])
-        chain_area = np.array([(prefix[start + size] - prefix[start]) / denominator
-                               for size in sizes.tolist()])
-        area = np.repeat(chain_area, np.diff(np.append(change_levels, last + 1)))
+        members = np.flatnonzero(join <= last)
+        members = members[np.argsort(join[members], kind="stable")]
+        # component sizes per level of the chain, and their exact areas
+        size = np.cumsum(np.bincount(join[members], minlength=last + 1))[first_level:]
+        grown, at_level = np.unique(size, return_inverse=True)
+        prefix = list(accumulate(map(numerators.__getitem__, members.tolist()), initial=0))
+        chain_area = np.array([prefix[s] / denominator for s in grown.tolist()])
+        area = chain_area[at_level]
         count = len(area) - w + 1
         # areas only grow along a chain, so a window's spread is last - first
         stable = area[w - 1:] - area[:count] < tol * area[w // 2:w // 2 + count]
-        mid_levels = first + w // 2 + np.flatnonzero(stable)
-        for j in np.unique(np.searchsorted(change_levels, mid_levels, side="right") - 1):
-            members = np.zeros(m, dtype=bool)
-            members[order[start:start + sizes[j]]] = True
-            yield chain_area[j], members
+        picked = np.unique(at_level[w // 2 + np.flatnonzero(stable)])
+        if len(picked):
+            orders.append(members[:grown[picked[-1]]])
+            starts.append(np.full(len(picked), offset))
+            sizes.append(grown[picked])
+            areas.append(chain_area[picked])
+            offset += len(orders[-1])
+    if not orders:
+        return _no_components()
+    return (np.concatenate(orders), np.concatenate(starts), np.concatenate(sizes),
+            np.concatenate(areas))
 
 
-def _merge_sweep(edges, vertex_level, rank, levels):
-    """Superlevel components on every level of a threshold grid, in one pass.
-
-    A union-find sweep adds each level's vertices, then the edges whose
-    later endpoint enters at that level (the merge tree of the components,
-    as in the component tree of MSER).  The root of a component is its
-    peak, the vertex of lowest ``rank``.  Each root keeps its members as a
-    linked list headed by itself, and a union appends the lower peak's
-    list to the higher one's, so in the final ``order`` every component
-    the sweep formed is the slice of ``size`` vertices starting at its peak.
-
-    Returns ``changes`` (peak -> [(level, size)] at every level where the
-    peak's component appeared or grew), ``died`` (peak -> level at which
-    it joined a higher peak) and ``order``.
-    """
-    m = len(vertex_level)
-    edge_level = np.maximum(vertex_level[edges[:, 0]], vertex_level[edges[:, 1]])
-    # a minimum spanning forest under edge level joins the same components
-    # at every level as the full edge set, with at most m - 1 edges
-    forest = csgraph.minimum_spanning_tree(sparse.csr_matrix(
-        (edge_level + 1.0, (edges[:, 0], edges[:, 1])), shape=(m, m))).tocoo()
-    edge_level = forest.data.astype(np.int64) - 1
-    edge_order = np.argsort(edge_level, kind="stable")
-    level_edges = np.column_stack([forest.row, forest.col])[edge_order].tolist()
-    edge_split = np.searchsorted(edge_level[edge_order], np.arange(levels + 1)).tolist()
-    vertex_order = np.argsort(vertex_level, kind="stable")
-    vertex_split = np.searchsorted(vertex_level[vertex_order], np.arange(levels + 1)).tolist()
-    vertex_order = vertex_order.tolist()
-    rank = rank.tolist()
-
-    parent = list(range(m))
-    size = [1] * m
-    after = [-1] * m  # next member in the list, -1 at the end
-    tail = list(range(m))
-    changes, died = {}, {}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for level in range(levels):
-        touched = vertex_order[vertex_split[level]:vertex_split[level + 1]]
-        for u, v in level_edges[edge_split[level]:edge_split[level + 1]]:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                continue
-            if rank[rv] < rank[ru]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            after[tail[ru]] = rv
-            tail[ru] = tail[rv]
-            size[ru] += size[rv]
-            died[rv] = level
-            touched.append(ru)
-        for r in {find(r) for r in touched}:
-            changes.setdefault(r, []).append((level, size[r]))
-
-    order = []
-    for root in range(m):
-        v = root if parent[root] == root else -1
-        while v >= 0:
-            order.append(v)
-            v = after[v]
-    return changes, died, np.array(order, dtype=np.int64)
+def _no_components():
+    empty = np.zeros(0, dtype=np.int64)
+    return empty, empty, empty, np.zeros(0)
 
 
 def region_coefficients(regions, basis):

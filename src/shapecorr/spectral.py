@@ -240,4 +240,7 @@ def load_basis(path):
     eigenvalues = np.frombuffer(blob, dtype="<f8", count=n, offset=head + 8 * m).copy()
     functions = np.frombuffer(
         blob, dtype="<f8", count=m * n, offset=head + 8 * (m + n)).reshape(m, n).copy()
-    return SpectralBasis(functions=functions, eigenvalues=eigenvalues, masses=masses)
+    try:
+        return SpectralBasis(functions=functions, eigenvalues=eigenvalues, masses=masses)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

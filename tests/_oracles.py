@@ -193,9 +193,10 @@ def refine_icp_all_rows(basis_x, basis_y, initial_map, max_iters=30):
 def stable_components_levelwise(mesh, phi, params):
     """Stable superlevel components with the components rebuilt per level.
 
-    Same contract as ``regions._stable_components``, less its ``units``:
-    areas are ``math.fsum`` of the members' vertex areas.  May yield the
-    same component more than once (once per stable window through it).
+    Yields (area, members) with ``members`` a bool row, in the detection
+    order of ``regions._stable_components``; areas are ``math.fsum`` of
+    the members' vertex areas.  May yield the same component more than
+    once (once per stable window through it).
     """
     lo, hi = float(phi.min()), float(phi.max())
     if hi - lo <= 1e-12 * max(abs(hi), abs(lo), 1.0):
@@ -249,7 +250,8 @@ def stable_components_levelwise(mesh, phi, params):
 def greedy_dedup_pairwise(members, overlap):
     """Greedy Jaccard dedup comparing one pair of regions at a time.
 
-    Same contract as ``regions._greedy_dedup``.
+    Indices of the rows kept, in order: a row is dropped when its Jaccard
+    overlap with an earlier kept row exceeds ``overlap``.
     """
     kept = []
     for i, row in enumerate(members):
@@ -266,6 +268,38 @@ def greedy_dedup_pairwise(members, overlap):
         if not dup:
             kept.append(i)
     return kept
+
+
+def exact_dedup(members):
+    """Indices of the rows that repeat no earlier row, in order."""
+    seen, first = set(), []
+    for i, row in enumerate(members):
+        key = np.packbits(row).tobytes()
+        if key not in seen:
+            seen.add(key)
+            first.append(i)
+    return first
+
+
+def detect_stable_regions_levelwise(mesh, basis, params):
+    """``regions.detect_stable_regions`` from the level-wise components.
+
+    The candidates of every function in detection order, exact repeats
+    dropped, ranked by descending area with ties in detection order, then
+    the pairwise Jaccard dedup and the area floor.
+    """
+    found = [candidate for fn in range(1, params.num_functions + 1)
+             for candidate in stable_components_levelwise(
+                 mesh, basis.functions[:, fn], params)]
+    found = [found[i] for i in exact_dedup([members for _, members in found])]
+    ranked = sorted(range(len(found)), key=lambda i: -found[i][0])
+    kept = [ranked[i] for i in greedy_dedup_pairwise(
+        [found[i][1] for i in ranked], params.dedup_overlap)]
+    large = [i for i in kept if found[i][0] / mesh.total_area >= params.min_area_frac]
+    if not large:
+        raise ValueError("no regions detected; relax the area or stability limits")
+    return RegionSet(members=np.array([found[i][1] for i in large]),
+                     area_fractions=np.array([found[i][0] / mesh.total_area for i in large]))
 
 
 def _consecutive_runs(sorted_ints):

@@ -351,7 +351,7 @@ FAILURES = [
     ("refine --basis-x {bx} --basis-y {by} --fmap {nanmap} -o {tmp}/ref", 2,
      "stage refine: {nanmap}: functional map entries must be finite"),
     ("refine --basis-x {bx} --basis-y {bnan} --fmap {fmap} -o {tmp}/ref", 2,
-     "stage refine: basis functions must be finite"),
+     "stage refine: {bnan}: basis functions must be finite"),
     ("refine --basis-x {bx} --basis-y {b12} --fmap {fmap} -o {tmp}/ref", 2,
      "stage refine: {bx} and {b12}: basis sizes differ: 20 vs 12"),
 ]

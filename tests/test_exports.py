@@ -29,11 +29,14 @@ def test_namespace_is_the_union_of_module_exports():
 
 
 def test_import_leaves_scipy_optimize_out():
-    # scipy.optimize adds about 17 MB to every process; the assignment
-    # solves on scipy.sparse.csgraph, which the mesh code loads anyway
+    # scipy.optimize adds about 17 MB to every process, and scipy.cluster
+    # and scipy.spatial more; the assignment and the detector solve on
+    # scipy.sparse.csgraph, which the mesh code loads anyway
     env = dict(os.environ, PYTHONPATH=str(Path(shapecorr.__file__).parents[1]))
     code = ("import sys, shapecorr; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+            "print(sorted(name for name, module in list(sys.modules.items()) "
+            "if name.startswith('scipy.') and name.count('.') == 1 "
+            "and not name.startswith('scipy._') and hasattr(module, '__path__')))")
     run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert run.stdout.strip() == "[]"
+    assert run.stdout.strip() == "['scipy.linalg', 'scipy.sparse']"

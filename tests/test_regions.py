@@ -1,6 +1,7 @@
 """Stable-region detection, region sets, and the region file format."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -183,50 +184,66 @@ class TestDetector:
             detect_stable_regions(tetra, creature4_basis)
 
 
-def _detect_recording(mesh, basis, params, sweep, monkeypatch):
-    """Run the detector with ``sweep`` as its per-function component sweep.
+def _rows(m, candidates):
+    """(area, members) pairs of the slice candidates ``_stable_components`` returns."""
+    order, starts, sizes, areas = candidates
+    found = []
+    for start, size, area in zip(starts.tolist(), sizes.tolist(), areas.tolist()):
+        members = np.zeros(m, dtype=bool)
+        members[order[start:start + size]] = True
+        assert np.count_nonzero(members) == size  # a slice holds distinct vertices
+        found.append((area, members))
+    return found
 
-    Returns the RegionSet and, per eigenfunction, the sweep's components
-    with repeats dropped (the detector drops them too).
+
+def _slices(found):
+    """Slice candidates, one start each, holding the (area, members) pairs."""
+    parts = [np.flatnonzero(members) for _, members in found]
+    sizes = np.array([len(part) for part in parts], dtype=np.int64)
+    return (np.concatenate([np.zeros(0, dtype=np.int64), *parts]),
+            np.cumsum(sizes) - sizes, sizes,
+            np.array([area for area, _ in found], dtype=np.float64))
+
+
+def _assert_sweep_matches_oracle(mesh, basis, params):
+    """Each function's candidates and the detection match the level-wise oracle.
+
+    Candidates one for one (area bit for bit, members, detection order),
+    with the oracle's repeats within one function dropped; repeats across
+    functions are left to the detection.
     """
-    per_function = []
-
-    def recording(mesh, phi, params, units):
-        seen, out = set(), []
-        for area, members in sweep(mesh, phi, params, units):
-            if members.tobytes() not in seen:
-                seen.add(members.tobytes())
-                out.append((area, members))
-        per_function.append(out)
-        return out
-
-    with monkeypatch.context() as patch:
-        patch.setattr(regions_module, "_stable_components", recording)
-        found = detect_stable_regions(mesh, basis, params)
-    return found, per_function
-
-
-def _levelwise(mesh, phi, params, units):
-    return _oracles.stable_components_levelwise(mesh, phi, params)
-
-
-def _assert_sweep_matches_oracle(mesh, basis, params, monkeypatch):
-    fast, fast_parts = _detect_recording(
-        mesh, basis, params, regions_module._stable_components, monkeypatch)
-    slow, slow_parts = _detect_recording(
-        mesh, basis, params, _levelwise, monkeypatch)
-    assert len(fast_parts) == len(slow_parts) == params.num_functions
-    for got, want in zip(fast_parts, slow_parts):
+    units = regions_module._area_units(mesh.vertex_areas)
+    for fn in range(1, params.num_functions + 1):
+        phi = basis.functions[:, fn]
+        got = _rows(mesh.num_vertices,
+                    regions_module._stable_components(mesh, phi, params, units))
+        want = list(_oracles.stable_components_levelwise(mesh, phi, params))
+        want = [want[i] for i in _oracles.exact_dedup([members for _, members in want])]
         assert len(got) == len(want)
         for (area, members), (area_want, members_want) in zip(got, want):
             assert np.array_equal(members, members_want)
             assert area == area_want
+    _assert_same_outcome(mesh, basis, params)
+
+
+def _assert_same_outcome(mesh, basis, params):
+    """The detector and the oracle detector return the same RegionSet or error."""
+    outcomes = []
+    for detect in (detect_stable_regions, _oracles.detect_stable_regions_levelwise):
+        try:
+            outcomes.append(detect(mesh, basis, params))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    fast, slow = outcomes
+    if isinstance(slow, str) or isinstance(fast, str):
+        assert fast == slow
+        return
     assert np.array_equal(fast.members, slow.members)
-    assert np.array_equal(fast.area_fractions, slow.area_fractions)
+    assert fast.area_fractions.tobytes() == slow.area_fractions.tobytes()
 
 
 class TestSweepMatchesOracle:
-    """The merge-tree sweep reproduces the per-level sweep bit for bit."""
+    """The spanning-forest chains reproduce the per-level sweep bit for bit."""
 
     @pytest.mark.parametrize("shape", ["creature3", "creature4"])
     @pytest.mark.parametrize("params", [
@@ -235,20 +252,20 @@ class TestSweepMatchesOracle:
         replace(CREATURE_DETECTOR, stability_window=2),
         DetectorParams(levels=64, stability_window=4, dedup_overlap=1.0),
     ], ids=["creature", "default", "window2", "levels64-nodedup"])
-    def test_creatures(self, shape, params, request, monkeypatch):
+    def test_creatures(self, shape, params, request):
         mesh = request.getfixturevalue(shape)
         basis = request.getfixturevalue(f"{shape}_basis")
-        _assert_sweep_matches_oracle(mesh, basis, params, monkeypatch)
+        _assert_sweep_matches_oracle(mesh, basis, params)
 
     @pytest.mark.parametrize("jitter_seed", [None, 1])
-    def test_5k(self, jitter_seed, monkeypatch):
+    def test_5k(self, jitter_seed):
         mesh = _meshes.creature_5k()
         if jitter_seed is not None:
             mesh = _meshes.jittered(mesh, 0.005, jitter_seed)
         basis = eigenbasis(*cotangent_laplacian(mesh), 20)
-        _assert_sweep_matches_oracle(mesh, basis, CREATURE_DETECTOR, monkeypatch)
+        _assert_sweep_matches_oracle(mesh, basis, CREATURE_DETECTOR)
 
-    def test_tied_values(self, monkeypatch):
+    def test_tied_values(self):
         # peaks of equal value are ordered by vertex index
         mesh = _meshes.icosphere(3)
         x, y, z = mesh.vertices.T
@@ -265,7 +282,64 @@ class TestSweepMatchesOracle:
             for levels, window in ((16, 2), (23, 3), (64, 5)):
                 params = DetectorParams(num_functions=1, levels=levels,
                                         stability_window=window, min_area_frac=0.0)
-                _assert_sweep_matches_oracle(mesh, basis, params, monkeypatch)
+                _assert_sweep_matches_oracle(mesh, basis, params)
+
+
+class TestDetectorMatchesOracle:
+    """Whole detections match the oracle detector, errors included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_functions=st.integers(1, 3),
+           smooth=st.booleans(), decimals=st.sampled_from([None, 0, 1]),
+           window=st.integers(2, 7), extra_levels=st.integers(0, 57),
+           tol=st.floats(0.0, 0.5), min_area_frac=st.sampled_from([0.0, 0.02, 0.1]),
+           overlap=st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+    def test_random_functions(self, sphere2, seed, num_functions, smooth, decimals,
+                              window, extra_levels, tol, min_area_frac, overlap):
+        # rough or smooth random functions; rounding ties whole patches
+        rng = np.random.default_rng(seed)
+        m = sphere2.num_vertices
+        raw = rng.standard_normal((m, num_functions))
+        if smooth:
+            raw = np.cos(sphere2.vertices @ rng.normal(0, 2, (3, num_functions))) + 0.05 * raw
+        if decimals is not None:
+            raw = np.round(raw * 3, decimals)
+        basis = SimpleNamespace(num_vertices=m, size=num_functions + 1,
+                                functions=np.column_stack([np.zeros(m), raw]))
+        params = DetectorParams(num_functions=num_functions, levels=window + extra_levels,
+                                stability_window=window, stability_tol=tol,
+                                min_area_frac=min_area_frac, dedup_overlap=overlap)
+        _assert_same_outcome(sphere2, basis, params)
+
+    def test_repeated_function_kept_once(self):
+        # two identical functions find every region twice; at overlap 1
+        # only exact repeats go, and each region comes once
+        mesh = _meshes.icosphere(2)
+        z = mesh.vertices[:, 2]
+        raw = np.where(z >= np.cos(0.7), 1.0,
+                       np.where(z <= -np.cos(0.7), 0.5, -0.01 * (2.0 + z)))
+        once = fake_basis(mesh, raw)
+        twice = SimpleNamespace(num_vertices=mesh.num_vertices, size=3,
+                                functions=once.functions[:, [0, 1, 1]])
+        params = DetectorParams(num_functions=1, dedup_overlap=1.0)
+        want = detect_stable_regions(mesh, once, params)
+        got = detect_stable_regions(mesh, twice, replace(params, num_functions=2))
+        assert len(want) >= 2
+        assert np.array_equal(got.members, want.members)
+        assert np.array_equal(got.area_fractions, want.area_fractions)
+
+    def test_5k_peak_memory(self):
+        # one m-long member row per candidate and the sweep's Python lists
+        # took the peak to 14.4 MB
+        mesh = _meshes.creature_5k()
+        basis = eigenbasis(*cotangent_laplacian(mesh), 20)
+        tracemalloc.start()
+        try:
+            detect_stable_regions(mesh, basis, CREATURE_DETECTOR)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
 
 
 def _path_mesh(vertex_areas):
@@ -313,7 +387,7 @@ class TestExactArea:
         params = DetectorParams(num_functions=1, levels=3, stability_window=2,
                                 stability_tol=2.0**-53, min_area_frac=0.0)
         units = regions_module._area_units(mesh.vertex_areas)
-        got = list(regions_module._stable_components(mesh, phi, params, units))
+        got = _rows(3, regions_module._stable_components(mesh, phi, params, units))
         want = list(_oracles.stable_components_levelwise(mesh, phi, params))
         for found in (got, want):
             assert [(area, members.tolist()) for area, members in found] == \
@@ -330,8 +404,8 @@ class TestExactArea:
         basis = SimpleNamespace(num_vertices=4, size=2, functions=np.zeros((4, 2)))
 
         def sweep(mesh, phi, params, units):
-            for vertex in range(4):
-                yield mesh.vertex_areas[vertex], np.arange(4) == vertex
+            return _slices([(mesh.vertex_areas[vertex], np.arange(4) == vertex)
+                            for vertex in range(4)])
 
         monkeypatch.setattr(regions_module, "_stable_components", sweep)
         got = detect_stable_regions(mesh, basis, DetectorParams(num_functions=1))
@@ -339,17 +413,24 @@ class TestExactArea:
         assert got.area_fractions.tolist() == [2 / 6, 2 / 6, 1 / 6, 1 / 6]
 
 
+def _dedup_oracle(m, order, starts, sizes, overlap):
+    """``regions._greedy_dedup`` by the oracles: exact repeats, then pairwise Jaccard."""
+    rows = [members for _, members in _rows(m, (order, starts, sizes, np.zeros(len(starts))))]
+    first = _oracles.exact_dedup(rows)
+    return [first[k] for k in _oracles.greedy_dedup_pairwise([rows[k] for k in first], overlap)]
+
+
 def _assert_dedup_matches_oracle(mesh, basis, params, monkeypatch):
     fast = detect_stable_regions(mesh, basis, params)
     with monkeypatch.context() as patch:
-        patch.setattr(regions_module, "_greedy_dedup", _oracles.greedy_dedup_pairwise)
+        patch.setattr(regions_module, "_greedy_dedup", _dedup_oracle)
         slow = detect_stable_regions(mesh, basis, params)
     assert np.array_equal(fast.members, slow.members)
     assert np.array_equal(fast.area_fractions, slow.area_fractions)
 
 
 class TestDedupMatchesOracle:
-    """The mat-vec dedup keeps exactly the regions the pairwise loop keeps."""
+    """The running-count dedup keeps exactly the regions the pairwise loop keeps."""
 
     @pytest.mark.parametrize("shape", ["creature3", "creature4"])
     def test_creatures(self, shape, request, monkeypatch):
@@ -367,19 +448,44 @@ class TestDedupMatchesOracle:
 
     @pytest.mark.parametrize("overlap", [0.1, 0.5, 0.7, 0.8, 1.0])
     def test_random_sets(self, overlap, rng):
-        # nested and shifted intervals give overlaps on both sides of the limit
+        # nested and shifted intervals of one order give overlaps on both
+        # sides of the limit, and repeat some sets exactly
         starts = rng.integers(0, 40, 300)
-        lengths = rng.integers(1, 30, 300)
-        members = [(np.arange(60) >= s) & (np.arange(60) < s + n)
-                   for s, n in zip(starts, lengths)]
-        got = regions_module._greedy_dedup(members, overlap)
-        assert got == _oracles.greedy_dedup_pairwise(members, overlap)
+        sizes = np.minimum(rng.integers(1, 30, 300), 60 - starts)
+        got = regions_module._greedy_dedup(60, np.arange(60), starts, sizes, overlap)
+        assert got == _dedup_oracle(60, np.arange(60), starts, sizes, overlap)
+
+    @pytest.mark.parametrize("overlap", [0.1, 0.5, 0.8, 1.0])
+    def test_random_chains(self, overlap, rng):
+        # ten prefixes of each of twelve shuffled orders, and four orders
+        # that hold the first 20 vertices of one of the first four in
+        # another order: the same set as a slice of two orders
+        chains = [rng.permutation(60) for _ in range(12)]
+        for k in range(4):
+            chains.append(np.concatenate([rng.permutation(chains[k][:20]),
+                                          rng.permutation(chains[k][20:])]))
+        order = np.concatenate(chains)
+        starts = np.repeat(60 * np.arange(len(chains)), 10)
+        sizes = rng.integers(1, 61, len(starts))
+        sizes[-40:] = rng.choice([10, 20, 20, 40], 40)
+        sizes[:40] = np.tile([10, 20, 40, 20], 10)
+        shuffle = rng.permutation(len(starts))
+        starts, sizes = starts[shuffle], sizes[shuffle]
+        got = regions_module._greedy_dedup(60, order, starts, sizes, overlap)
+        assert got == _dedup_oracle(60, order, starts, sizes, overlap)
 
     def test_overlap_equal_to_limit_is_kept(self):
-        # Jaccard 4/5 is not above 0.8: both rows stay
-        members = [np.arange(10) < 5, np.arange(10) < 4]
-        assert regions_module._greedy_dedup(members, 0.8) == [0, 1]
-        assert regions_module._greedy_dedup(members, 0.79) == [0]
+        # Jaccard 4/5 is not above 0.8: both slices stay
+        starts, sizes = np.array([0, 0]), np.array([5, 4])
+        assert regions_module._greedy_dedup(10, np.arange(10), starts, sizes, 0.8) == [0, 1]
+        assert regions_module._greedy_dedup(10, np.arange(10), starts, sizes, 0.79) == [0]
+
+    def test_repeat_dropped_at_overlap_one(self):
+        # {0, 1} twice, in two orders; {1} is a Jaccard 1/2 away
+        order = np.array([0, 1, 2, 1, 0])
+        got = regions_module._greedy_dedup(3, order, np.array([0, 3, 3]),
+                                           np.array([2, 2, 1]), 1.0)
+        assert got == [0, 2]
 
 
 class TestFilter:
