@@ -5,7 +5,7 @@ alternates two exact subproblem solves: fit a coefficient-space transport
 C and outlier rows O to the currently ordered targets, then reassign
 regions by maximizing the linear profit (A C) B^T.  On near-isometric
 pairs the loop settles in very few rounds; each pursuit after the first
-warm-starts from the previous iterates.
+warm-starts from the previous map.
 """
 
 from __future__ import annotations
@@ -96,8 +96,6 @@ def match(coeffs_x, coeffs_y, regions_x=None, regions_y=None, weights=None,
     lam, mu = resolve_penalties(A, target, options.lam, options.mu)
     options = replace(options, lam=lam, mu=mu)
 
-    warm_map = None
-    warm_outliers = None
     previous_cols = None
     trace = []
     assignment = None
@@ -107,12 +105,11 @@ def match(coeffs_x, coeffs_y, regions_x=None, regions_y=None, weights=None,
     for outer in range(1, max_outer + 1):
         result = solve_robust_sparse_coding(
             A, target, weights, options,
-            initial_map=warm_map, initial_outliers=warm_outliers)
+            initial_map=None if result is None else result.functional_map)
         trace.append(result.objective_trace[-1])
         profit = build_profit(A, result.functional_map, B)
         assignment = solve_assignment(profit, mask)
         target = B[assignment.cols]
-        warm_map, warm_outliers = result.functional_map, result.outliers
         if previous_cols is not None and np.array_equal(assignment.cols, previous_cols):
             converged = True
             break

@@ -8,16 +8,13 @@ where A (q, n) holds the source-shape region coefficients, Bp (q, n) the
 reordered target coefficients, C (n, n) is the sought coefficient-space
 transport, W an elementwise penalty weight favoring near-diagonal C, and
 the row-wise l2,1 norm lets whole rows of the residual be written off as
-outliers O.  Both penalties have closed-form proximal maps, so the problem
-splits into a joint gradient step on the quadratic followed by two
-independent shrinkages.  The step length is the reciprocal of the largest
-eigenvalue of the joint quadratic's Hessian
-
-    H = [[A^T A, A^T], [A, I]],
-
-the Lipschitz constant of its gradient.  H is the Gram matrix of [A I],
-whose nonzero spectrum is that of A A^T + I, so the top eigenvalue is
-sigma_max(A)^2 + 1 in closed form.
+outliers O.  For fixed C the best O is the row shrinkage by mu of the
+residual R = Bp - A C; eliminating it leaves sum_i h_mu(||r_i||) +
+lam ||W o C||_1, with h_mu the Huber function (the Moreau envelope of
+mu ||.||).  Its gradient -A^T (r_i min(1, mu / ||r_i||))_i is Lipschitz
+with constant exactly sigma_max(A)^2, as the row projection onto the
+mu-ball is nonexpansive.  The solver runs FISTA on C alone with that step
+bound and returns O in closed form.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ __all__ = [
 class SolverOptions:
     """Solver knobs.  ``lam`` and ``mu`` default to data-scaled values.
 
-    ``accelerated`` turns on momentum extrapolation; convergence is then
+    ``accelerated`` turns on FISTA momentum on C; convergence is then
     faster but the objective trace is no longer monotone.
     """
 
@@ -66,7 +63,7 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class PursuitResult:
-    """Final iterates plus the objective value of every iterate."""
+    """Final map, its best outliers, and the objective of every iterate."""
 
     functional_map: np.ndarray
     outliers: np.ndarray
@@ -124,15 +121,15 @@ def prox_l21_rows(values, step):
 
 
 def step_size(dictionary):
-    """Largest eigenvalue of the joint Hessian [[A^T A, A^T], [A, I]].
+    """Lipschitz constant of the reduced problem's gradient, sigma_max(A)^2.
 
-    Exactly sigma_max(A)^2 + 1: the Hessian is the Gram matrix of [A I],
-    whose nonzero eigenvalues are those of A A^T + I.
+    An all-zero dictionary has a constant gradient, so any step is valid
+    there and 1.0 is returned.
     """
     A = np.asarray(dictionary, dtype=np.float64)
     if A.ndim != 2 or A.size == 0:
         raise ValueError("dictionary must be a nonempty 2-d array")
-    return float(np.linalg.norm(A, 2)) ** 2 + 1.0
+    return float(np.linalg.norm(A, 2)) ** 2 or 1.0
 
 
 def objective(dictionary, target, functional_map, outliers, weights, lam, mu):
@@ -161,14 +158,15 @@ def resolve_penalties(dictionary, target, lam=None, mu=None):
 
 
 def solve_robust_sparse_coding(dictionary, target, weights=None, options=None,
-                               initial_map=None, initial_outliers=None):
+                               initial_map=None):
     """Minimize the robust sparse-coding objective for fixed correspondence.
 
-    Starts from C = 0 and O = Bp unless warm-start iterates are supplied.
-    Each iteration takes one gradient step on the quadratic part at the
-    current (or extrapolated) point and applies the two proximal maps.
-    Stops when the relative objective change falls below ``options.tol``
-    or after ``options.max_iter`` iterations.
+    Starts from C = 0 unless a warm-start map is supplied.  Each iteration
+    takes one gradient step on the Huber term at the current (or
+    extrapolated) point and applies the weighted soft threshold; trace
+    entries and the returned outliers use the best O for each C.  Stops
+    when the relative objective change falls below ``options.tol`` or
+    after ``options.max_iter`` iterations.
 
     Without acceleration every step is guaranteed not to increase the
     objective; with acceleration the trace simply records the raw values.
@@ -189,33 +187,38 @@ def solve_robust_sparse_coding(dictionary, target, weights=None, options=None,
     lam, mu = resolve_penalties(A, Bp, options.lam, options.mu)
 
     C = np.zeros((n, n)) if initial_map is None else np.array(initial_map, dtype=np.float64)
-    O = Bp.copy() if initial_outliers is None else np.array(initial_outliers, dtype=np.float64)
     if C.shape != (n, n):
         raise ValueError(f"initial map must be ({n}, {n}), got {C.shape}")
-    if O.shape != Bp.shape:
-        raise ValueError(f"initial outliers must be {Bp.shape}, got {O.shape}")
+
+    def reduced_objective(C, residual):
+        # 1/2 min(r, mu)^2 + mu max(r - mu, 0): the Huber value of each row
+        norms = np.linalg.norm(residual, axis=1)
+        kept = np.minimum(norms, mu)
+        return (float(np.sum(kept * (norms - 0.5 * kept)))
+                + lam * float(np.sum(weights * np.abs(C))))
 
     alpha = step_size(A)
-    trace = [objective(A, Bp, C, O, weights, lam, mu)]
-    extr_C, extr_O = C, O  # extrapolated point when accelerated
+    residual = Bp - A @ C
+    trace = [reduced_objective(C, residual)]
+    extr_C, extr_residual = C, residual  # extrapolated point when accelerated
     momentum = 1.0
     converged = False
-    iterations = 0
     for iterations in range(1, options.max_iter + 1):
-        base_C, base_O = (extr_C, extr_O) if options.accelerated else (C, O)
-        residual = A @ base_C + base_O - Bp
-        step_C = base_C - (A.T @ residual) / alpha
-        step_O = base_O - residual / alpha
-        new_C = prox_weighted_l1(step_C, weights, lam / alpha)
-        new_O = prox_l21_rows(step_O, mu / alpha)
+        base_C, base_residual = (extr_C, extr_residual) if options.accelerated else (C, residual)
+        # min(1, mu / ||r_i||) projects residual rows onto the mu-ball; the
+        # floor 1.0 keeps zero rows finite when mu = 0 (all rows outliers)
+        scale = mu / np.maximum(np.linalg.norm(base_residual, axis=1), mu or 1.0)
+        step = base_C + (A.T @ (base_residual * scale[:, None])) / alpha
+        new_C = prox_weighted_l1(step, weights, lam / alpha)
+        new_residual = Bp - A @ new_C
         if options.accelerated:
             momentum_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
             beta = (momentum - 1.0) / momentum_next
             extr_C = new_C + beta * (new_C - C)
-            extr_O = new_O + beta * (new_O - O)
+            extr_residual = new_residual + beta * (new_residual - residual)
             momentum = momentum_next
-        C, O = new_C, new_O
-        value = objective(A, Bp, C, O, weights, lam, mu)
+        C, residual = new_C, new_residual
+        value = reduced_objective(C, residual)
         if not np.isfinite(value):
             raise FloatingPointError(
                 f"objective diverged at iteration {iterations}")
@@ -223,7 +226,7 @@ def solve_robust_sparse_coding(dictionary, target, weights=None, options=None,
         if abs(trace[-2] - trace[-1]) <= options.tol * max(abs(trace[-2]), 1e-300):
             converged = True
             break
-    return PursuitResult(functional_map=C, outliers=O,
+    return PursuitResult(functional_map=C, outliers=prox_l21_rows(residual, mu),
                          objective_trace=np.array(trace),
                          iterations=iterations, converged=converged,
                          lam=lam, mu=mu)

@@ -8,6 +8,7 @@ from scipy import optimize
 from scipy.sparse import csgraph
 
 from shapecorr.mesh import MeshParseError
+from shapecorr.pursuit import objective, prox_l21_rows, prox_weighted_l1
 from shapecorr.regions import RegionSet
 
 
@@ -143,6 +144,42 @@ def optimality_residual(dictionary, target, functional_map, outliers,
         direction = O[alive] / row_norms[alive, None]
         slack_O[alive] = np.linalg.norm(residual[alive] + mu * direction, axis=1)
     return float(max(slack_C.max(initial=0.0), slack_O.max(initial=0.0)))
+
+
+def solve_joint_pursuit(dictionary, target, weights, lam, mu, tol=1e-8,
+                        max_iter=2000):
+    """Forward-backward iteration on the pair (C, O) jointly; returns (C, O).
+
+    The route ``solve_robust_sparse_coding`` took before O was eliminated:
+    FISTA from C = 0, O = Bp with one step 1 / (sigma_max(A)^2 + 1), the top
+    eigenvalue of the joint Hessian [[A^T A, A^T], [A, I]], and the two
+    proximal maps applied to the halves of the step.  O's own curvature is
+    1, so it crawls when sigma_max(A)^2 is large.
+    """
+    A = np.asarray(dictionary, dtype=np.float64)
+    Bp = np.asarray(target, dtype=np.float64)
+    n = A.shape[1]
+    alpha = float(np.linalg.norm(A, 2)) ** 2 + 1.0
+    C, O = np.zeros((n, n)), Bp.copy()
+    extr_C, extr_O = C, O
+    momentum = 1.0
+    previous = objective(A, Bp, C, O, weights, lam, mu)
+    for _ in range(max_iter):
+        residual = A @ extr_C + extr_O - Bp
+        new_C = prox_weighted_l1(extr_C - (A.T @ residual) / alpha,
+                                 weights, lam / alpha)
+        new_O = prox_l21_rows(extr_O - residual / alpha, mu / alpha)
+        momentum_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
+        beta = (momentum - 1.0) / momentum_next
+        extr_C = new_C + beta * (new_C - C)
+        extr_O = new_O + beta * (new_O - O)
+        momentum = momentum_next
+        C, O = new_C, new_O
+        value = objective(A, Bp, C, O, weights, lam, mu)
+        if abs(previous - value) <= tol * max(abs(previous), 1e-300):
+            break
+        previous = value
+    return C, O
 
 
 def nearest_rows_scan(points, queries):

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 import _meshes
-from shapecorr import (SolverOptions, match, region_coefficients,
+import shapecorr.matcher
+from conftest import CREATURE_DETECTOR
+from shapecorr import (SolverOptions, cotangent_laplacian, detect_stable_regions,
+                       eigenbasis, match, region_coefficients,
                        regions_from_members, write_match_report)
 from shapecorr.pursuit import resolve_penalties
 
@@ -66,6 +69,29 @@ class TestRecovery:
         assert np.array_equal(first.functional_map, second.functional_map)
         assert np.array_equal(first.objective_trace, second.objective_trace)
 
+
+    def test_pursuit_iterations_on_5k_twin(self, monkeypatch):
+        # the joint (C, O) iteration ran 1,948 pursuit iterations on this
+        # pair: O's curvature is 1 against sigma_max(A)^2 of about 500
+        mesh = _meshes.creature_5k()
+        twin = _meshes.jittered(mesh, 0.005, 1)
+        regions, coeffs = [], []
+        for shape in (mesh, twin):
+            basis = eigenbasis(*cotangent_laplacian(shape), 20)
+            regions.append(detect_stable_regions(shape, basis, CREATURE_DETECTOR))
+            coeffs.append(region_coefficients(regions[-1], basis))
+        lam, mu = _meshes.matching_penalties(*coeffs)
+        iterations = []
+        solve = shapecorr.matcher.solve_robust_sparse_coding
+
+        def counted(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            iterations.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(shapecorr.matcher, "solve_robust_sparse_coding", counted)
+        match(*coeffs, *regions, options=SolverOptions(lam=lam, mu=mu))
+        assert 0 < sum(iterations) <= 1000
 
 class TestMechanics:
     def test_trace_length_matches_iterations(self, rng):
