@@ -82,6 +82,12 @@ def build_profit(coeffs_x, functional_map, coeffs_y):
     return (A @ C) @ B.T
 
 
+def _check_ratio(max_ratio, name="max_ratio"):
+    """Raise ValueError unless ``max_ratio`` is at least 1 (NaN is not)."""
+    if not max_ratio >= 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
 def prune(regions_x, regions_y, max_ratio=3.0):
     """Feasibility mask keeping pairs whose areas differ at most ``max_ratio``-fold.
 
@@ -89,8 +95,7 @@ def prune(regions_x, regions_y, max_ratio=3.0):
     different areas cannot correspond.  Raises AssignmentInfeasibleError
     when a source region is left without any candidate.
     """
-    if max_ratio < 1.0:
-        raise ValueError("max_ratio must be at least 1")
+    _check_ratio(max_ratio)
     ax = np.asarray(regions_x.area_fractions, dtype=np.float64)
     ay = np.asarray(regions_y.area_fractions, dtype=np.float64)
     ratio = ax[:, None] / ay[None, :]

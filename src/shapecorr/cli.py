@@ -20,9 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .assignment import _check_ratio
 from .evaluate import (ErrorCurve, correspondence_error, error_curve,
                        export_colored_ply, save_error_curve)
-from .matcher import match, write_match_report
+from .matcher import _check_loop, match, write_match_report
 from .mesh import (MeshParseError, MeshValidationError, _Lines, load_mesh,
                    shape_diameter)
 from .pursuit import SolverOptions, default_weights
@@ -154,6 +155,21 @@ def _thresholds(config):
                          f"threshold_step {config.threshold_step}: {exc}") from None
 
 
+def _positive(config, *keys):
+    """Raise ValueError naming the first of ``keys`` whose value is below 1."""
+    for key in keys:
+        if getattr(config, key) < 1:
+            raise ValueError(f"{key} must be positive")
+
+
+def _check_sweep_fits(config, params):
+    """Raise ValueError unless the basis holds the detector's
+    ``num_functions`` eigenfunctions after the constant one."""
+    if config.basis_size <= params.num_functions:
+        raise ValueError(f"num_functions {params.num_functions} needs basis_size "
+                         f"{params.num_functions + 1} or more, got {config.basis_size}")
+
+
 def save_functional_map(functional_map, path):
     np.savetxt(path, np.asarray(functional_map), fmt=_FMAP_FMT)
 
@@ -268,8 +284,15 @@ def run_pipeline(config, until="end"):
             raise ValueError(f"unknown region_source {config.region_source!r}")
         if config.region_source == "files" and not (config.regions_x and config.regions_y):
             raise ValueError("region_source=files needs regions_x and regions_y")
+        _positive(config, "basis_size", "refine_iters", "diameter_samples")
         params = _detector_params(config)
+        if config.region_source == "detect":
+            _check_sweep_fits(config, params)
         options = _solver_options(config)
+        if not np.isfinite(config.weight_p):
+            raise ValueError("weight_p must be finite")
+        _check_ratio(config.prune_ratio, "prune_ratio")
+        _check_loop(config.max_outer, config.outer_tol)
         _thresholds(config)
     out_dir = _out_dir(config)
 
@@ -363,6 +386,7 @@ def _config_from_args(args):
 def _cmd_basis(args):
     config = _config_from_args(args)
     with _guard(args.command, reading=True):
+        _positive(config, "basis_size")
         mesh = load_mesh(args.mesh)
     basis = _mesh_basis(mesh, "", config.basis_size)
     save_basis(basis, args.output)
@@ -372,7 +396,9 @@ def _cmd_basis(args):
 def _cmd_detect(args):
     config = _config_from_args(args)
     with _guard(args.command, reading=True):
+        _positive(config, "basis_size")
         params = _detector_params(config)
+        _check_sweep_fits(config, params)
         mesh = load_mesh(args.mesh)
     basis = _mesh_basis(mesh, args.basis_cache, config.basis_size)
     regions = detect_stable_regions(mesh, basis, params)
@@ -395,6 +421,7 @@ def _cmd_pipeline(args):
 def _cmd_refine(args):
     config = _config_from_args(args)
     with _guard(args.command, reading=True):
+        _positive(config, "refine_iters")
         basis_x, basis_y = load_basis(args.basis_x), load_basis(args.basis_y)
         fmap = load_functional_map(args.fmap)
         n = basis_x.size
@@ -412,6 +439,7 @@ def _cmd_refine(args):
 def _cmd_eval(args):
     config = _config_from_args(args)
     with _guard(args.command, reading=True):
+        _positive(config, "diameter_samples")
         _thresholds(config)
         mesh_y = load_mesh(config.mesh_y)
         truth = load_point_map(config.truth, num_targets=mesh_y.num_vertices)

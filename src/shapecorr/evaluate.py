@@ -27,13 +27,12 @@ __all__ = [
 
 DEFAULT_THRESHOLDS = np.arange(0.0, 0.25 + 1e-9, 0.01)
 
-# correspondence_error: Dijkstra output per batch of sources, and the least
-# first search radius as a fraction of the diameter (doubled until all
-# pairs land).
+# correspondence_error: Dijkstra output per batch of sources.  Each batch's
+# search radius starts at 1.5 times its longest chord, or at the shortest
+# edge, and doubles until all pairs land.
 # On a creature_5k jitter twin, 4 MiB blocks evaluated as fast as 16 MiB
 # ones (0.245 s), and 1 MiB and 512 KiB blocks took 1.4x and 1.7x as long.
 _CHUNK_BYTES = 2**22
-_START_FRACTION = 1 / 32
 
 
 @dataclass(frozen=True)
@@ -75,10 +74,12 @@ def correspondence_error(point_map, truth, mesh_y, diameter=None):
     or one row when a row is larger; never O(m^2)), and stops at a radius
     that doubles until every pair of the source is reached.  Sources are
     ordered by the longest straight-line distance of their pairs, and a
-    block's radius starts at 1.5 times its longest one, or at
-    ``_START_FRACTION`` of the diameter if that is larger.  A row does not
-    depend on which block its source runs in or at which radius, so the
-    block size and the radii move memory and time, never an error.
+    block's radius starts at 1.5 times its longest one, or at the
+    shortest edge if that is longer: a wrong pair is two distinct
+    vertices, at least one edge apart on the graph however close they lie
+    in space.  A row does not depend on which block its source runs in or
+    at which radius, so the block size and the radii move memory and
+    time, never an error.
     """
     predicted = np.asarray(point_map.indices if hasattr(point_map, "indices")
                            else point_map, dtype=np.int64)
@@ -98,9 +99,10 @@ def correspondence_error(point_map, truth, mesh_y, diameter=None):
     errors = np.zeros(len(predicted))
     wrong = np.flatnonzero(predicted != expected)
     sources, pair_source = np.unique(expected[wrong], return_inverse=True)
-    # a graph path is never shorter than the straight line, so a source
-    # needs a radius of at least its farthest pair's chord; blocks of
-    # sources with similar chords start near the radius they need
+    # a graph path is never shorter than the straight line, nor than one
+    # edge, so a source needs a radius of at least its farthest pair's
+    # chord and the shortest edge; blocks of sources with similar chords
+    # start near the radius they need
     chord = np.linalg.norm(mesh_y.vertices[predicted[wrong]]
                            - mesh_y.vertices[expected[wrong]], axis=1)
     reach = np.zeros(len(sources))
@@ -108,11 +110,12 @@ def correspondence_error(point_map, truth, mesh_y, diameter=None):
     order = np.argsort(reach, kind="stable")
     sources, reach = sources[order], reach[order]
     pair_source = np.argsort(order)[pair_source]
+    shortest_edge = mesh_y.edge_graph.data.min()
     chunk = max(1, _CHUNK_BYTES // (8 * m))
     for first in range(0, len(sources), chunk):
         pending = np.arange(first, min(first + chunk, len(sources)))
         pairs = np.flatnonzero((pair_source >= first) & (pair_source < first + chunk))
-        limit = max(diameter * _START_FRACTION, 1.5 * reach[pending].max())
+        limit = max(1.5 * reach[pending].max(), shortest_edge)
         while len(pairs):
             rows = geodesic_distance_matrix(mesh_y, sources[pending], limit=limit)
             row = np.searchsorted(pending, pair_source[pairs])

@@ -70,6 +70,7 @@ def match(coeffs_x, coeffs_y, regions_x=None, regions_y=None, weights=None,
         change falls below ``outer_tol`` (relative), or after
         ``max_outer`` alternations, whichever is first.
     """
+    _check_loop(max_outer, outer_tol)
     A = np.asarray(coeffs_x, dtype=np.float64)
     B = np.asarray(coeffs_y, dtype=np.float64)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
@@ -126,6 +127,14 @@ def match(coeffs_x, coeffs_y, regions_x=None, regions_y=None, weights=None,
                        converged=converged and result.converged,
                        swapped=False,
                        lam=lam, mu=mu)
+
+
+def _check_loop(max_outer, outer_tol):
+    """Raise ValueError for outer-loop settings ``match`` cannot run with."""
+    if max_outer < 1:
+        raise ValueError("max_outer must be positive")
+    if not 0 <= outer_tol < np.inf:
+        raise ValueError("outer_tol must be finite and nonnegative")
 
 
 def write_match_report(result, path):

@@ -17,8 +17,6 @@ decides the rest over the few rows inside the margin.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -129,36 +127,10 @@ def nearest_rows(points, queries):
               + 2.0 ** -100).astype(np.float32)
 
     block = min(len(Q), max(1, _BLOCK_BYTES // (4 * m)))
-    workers = min(_usable_cores(), -(-len(Q) // block))
-    bounds = np.linspace(0, len(Q), workers + 1).astype(np.int64)
-    # allocated here, not in the workers: buffers a worker thread
-    # allocates come from its own malloc arena and stay in the process
-    scores = np.empty((workers, block, m), dtype=np.float32)
-    inside = np.empty((workers, block, m), dtype=bool)
-    # matmul and the reductions release the GIL
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(_screen_rows, P, Q, p32, q32, margin, best,
-                               range(bounds[w], bounds[w + 1]), scores[w], inside[w])
-                   for w in range(workers)]
-        for future in futures:
-            future.result()
-    return best
-
-
-# float32 scores of one block of query rows per worker
-_BLOCK_BYTES = 1 << 21
-
-
-def _usable_cores():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _screen_rows(P, Q, p32, q32, margin, best, rows, scores, inside):
-    """Fill ``best[rows]``, one block of query rows at a time."""
-    for start in range(rows.start, rows.stop, len(scores)):
-        stop = min(start + len(scores), rows.stop)
+    scores = np.empty((block, m), dtype=np.float32)
+    inside = np.empty((block, m), dtype=bool)
+    for start in range(0, len(Q), block):
+        stop = min(start + block, len(Q))
         s, near = scores[:stop - start], inside[:stop - start]
         np.matmul(q32[start:stop], p32, out=s)
         top = s.argmax(axis=1)
@@ -171,6 +143,11 @@ def _screen_rows(P, Q, p32, q32, margin, best, rows, scores, inside):
             rivals = np.flatnonzero(near[i])
             d2 = np.sum((P[rivals] - Q[start + i]) ** 2, axis=1)
             best[start + i] = rivals[np.argmin(d2)]
+    return best
+
+
+# float32 scores per block of query rows
+_BLOCK_BYTES = 1 << 21
 
 
 def orthogonal_procrustes(targets, sources):
@@ -260,9 +237,13 @@ def load_point_map(path, num_targets=None):
     indices = []
     for lineno, line in _Lines(Path(path).read_text(), cut="#").lines:
         try:
-            indices.append(int(line))
+            index = int(line)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: expected a vertex index") from None
+        if index < 0:
+            raise ValueError(f"{path}:{lineno}: vertex index must be nonnegative, "
+                             f"got {index}")
+        indices.append(index)
     if not indices:
         raise ValueError(f"{path}: empty point map")
     arr = np.array(indices, dtype=np.int64)

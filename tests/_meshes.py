@@ -163,6 +163,27 @@ def creature(level=4, base=None):
     return Mesh(v * radius[:, None] * _LIMB_STRETCH, sphere.triangles)
 
 
+def seamed_ring(rows=3, cols=13, radius=1.0, width=0.5, gap=0.0):
+    """A strip bent into a ring whose ends meet at a seam of duplicates.
+
+    Column ``cols - 1`` lies ``gap`` radians short of column 0 and shares
+    no edge with it, so vertex ``r * cols`` and vertex ``r * cols + cols - 1``
+    are about ``gap * radius`` apart in space (zero by default) and once
+    around the ring apart on the graph.
+    """
+    angle = np.linspace(0.0, 2.0 * np.pi, cols)
+    angle[-1] = -gap  # cos/sin of 2 pi would miss the first column by an ulp
+    height = np.linspace(0.0, width, rows)
+    v = np.array([[radius * np.cos(a), radius * np.sin(a), h]
+                  for h in height for a in angle])
+    t = []
+    for r in range(rows - 1):
+        for c in range(cols - 1):
+            a, b = r * cols + c, r * cols + c + 1
+            t += [[a, b, b + cols], [a, b + cols, a + cols]]
+    return Mesh(v, np.array(t))
+
+
 def creature_5k():
     """A ~5k-vertex variant of the creature for runtime tests."""
     return creature(base=uv_sphere(70, 72))

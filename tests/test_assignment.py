@@ -78,6 +78,12 @@ class TestPrune:
         with pytest.raises(ValueError, match="at least 1"):
             prune(rx, rx, max_ratio=0.5)
 
+    def test_nan_ratio(self):
+        # a NaN ratio used to keep no pair and blame the first region
+        rx = SimpleNamespace(area_fractions=np.array([0.5]))
+        with pytest.raises(ValueError, match="max_ratio must be at least 1"):
+            prune(rx, rx, max_ratio=np.nan)
+
 
 class TestSolveAssignment:
     @pytest.mark.parametrize("shape", [(5, 5), (4, 7), (1, 4), (6, 6)])

@@ -354,6 +354,38 @@ FAILURES = [
      "stage refine: {bnan}: basis functions must be finite"),
     ("refine --basis-x {bx} --basis-y {b12} --fmap {fmap} -o {tmp}/ref", 2,
      "stage refine: {bx} and {b12}: basis sizes differ: 20 vs 12"),
+    ("eval --map {neg} --truth {truth} --mesh-y {y} -o {tmp}/ev", 2,
+     "stage eval: {neg}:3: vertex index must be nonnegative, got -1"),
+    ("run --config {cfg} --out-dir {tmp}/out --max-outer 0", 2,
+     "stage config: max_outer must be positive"),
+    ("match --config {cfg} --out-dir {tmp}/out --max-outer 0", 2,
+     "stage config: max_outer must be positive"),
+    ("run --config {cfg} --out-dir {tmp}/out --refine-iters 0", 2,
+     "stage config: refine_iters must be positive"),
+    ("refine --basis-x {bx} --basis-y {by} --fmap {fmap} -o {tmp}/ref "
+     "--refine-iters 0", 2, "stage refine: refine_iters must be positive"),
+    ("match --config {cfg} --out-dir {tmp}/out --prune-ratio 0.5", 2,
+     "stage config: prune_ratio must be at least 1"),
+    ("run --config {cfg} --out-dir {tmp}/out --prune-ratio nan", 2,
+     "stage config: prune_ratio must be at least 1"),
+    ("run --config {cfg} --out-dir {tmp}/out --diameter-samples 0", 2,
+     "stage config: diameter_samples must be positive"),
+    ("eval --map {map} --truth {truth} --mesh-y {y} -o {tmp}/ev "
+     "--diameter-samples 0", 2, "stage eval: diameter_samples must be positive"),
+    ("run --config {cfg} --out-dir {tmp}/out --basis-size 0", 2,
+     "stage config: basis_size must be positive"),
+    ("basis {x} -o {tmp}/b.bin --basis-size 0", 2,
+     "stage basis: basis_size must be positive"),
+    ("run --config {cfg} --out-dir {tmp}/out --weight-p nan", 2,
+     "stage config: weight_p must be finite"),
+    ("run --config {cfg} --out-dir {tmp}/out --basis-size 5 --num-functions 6", 2,
+     "stage config: num_functions 6 needs basis_size 7 or more, got 5"),
+    ("detect {x} -o {tmp}/r.txt --basis-size 5 --num-functions 6", 2,
+     "stage detect: num_functions 6 needs basis_size 7 or more, got 5"),
+    ("run --config {cfg} --out-dir {tmp}/out --outer-tol nan", 2,
+     "stage config: outer_tol must be finite and nonnegative"),
+    ("match --config {cfg} --out-dir {tmp}/out --outer-tol -1", 2,
+     "stage config: outer_tol must be finite and nonnegative"),
 ]
 
 
@@ -364,6 +396,7 @@ class TestMain:
         (tmp_path / "file").write_text("not a directory\n")
         np.savetxt(tmp_path / "small.txt", np.eye(5))
         (tmp_path / "empty.txt").write_text("")
+        (tmp_path / "neg.txt").write_text("0\n# one below the first vertex\n-1\n")
         config_text = (env["tmp"] / "config.cfg").read_text()
         (tmp_path / "guess.cfg").write_text(config_text + "region_source = guess\n")
         (tmp_path / "regions.txt").write_text("0 1 2\n0 x 3\n")
@@ -385,7 +418,7 @@ class TestMain:
                  "guess": tmp_path / "guess.cfg", "regions": tmp_path / "regions.txt",
                  "small": tmp_path / "small.txt", "empty": tmp_path / "empty.txt",
                  "b12": tmp_path / "b12.bin", "bnan": tmp_path / "bnan.bin",
-                 "nanmap": tmp_path / "nanmap.txt"}
+                 "nanmap": tmp_path / "nanmap.txt", "neg": tmp_path / "neg.txt"}
         bases = []
         mesh_basis = cli._mesh_basis
         monkeypatch.setattr(cli, "_mesh_basis",
@@ -394,9 +427,9 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message.format(**paths)}")
         assert "Warning" not in err and not recwarn.list
-        # only the basis row, which fails writing its result, gets as far
-        # as computing or loading an eigenbasis
-        assert len(bases) == argv.startswith("basis ")
+        # only the basis row that fails writing its result gets as far as
+        # computing or loading an eigenbasis
+        assert len(bases) == argv.startswith("basis {x} -o {file}")
 
     def test_run_with_region_files(self, env, ran, tmp_path):
         # the first 12 of the detected regions, header line kept
@@ -437,6 +470,24 @@ class TestMain:
                      "--num-functions", "12", "--levels", "256"]) == 0
         out = capsys.readouterr().out
         assert "87 regions" in out
+
+    @pytest.mark.parametrize("size", [1, 5])
+    def test_basis_below_the_detector_sweep(self, env, tmp_path, size):
+        # basis detects nothing, so the default num_functions is no bound
+        path = tmp_path / "b.bin"
+        assert main(["basis", str(env["tmp"] / "x.off"), "-o", str(path),
+                     "--basis-size", str(size)]) == 0
+        assert load_basis(path).size == size
+
+    def test_match_with_region_files_and_a_small_basis(self, env, ran, tmp_path):
+        # region files need no detector sweep, so 5 functions do
+        out_a = env["tmp"] / "out"
+        code = main(["match", "--config", str(env["tmp"] / "config.cfg"),
+                     "--out-dir", str(tmp_path / "out"), "--basis-size", "5",
+                     "--regions-x", str(out_a / "regions_x.txt"),
+                     "--regions-y", str(out_a / "regions_y.txt")])
+        assert code == 0
+        assert np.loadtxt(tmp_path / "out" / "functional_map.txt").shape == (5, 5)
 
     def test_match_with_region_files(self, env, tmp_path, capsys):
         out_a = env["tmp"] / "out"

@@ -119,8 +119,7 @@ class TestMatchesDenseOracle:
 
     def test_small_blocks_start_at_their_chords(self, jitter_pair, rng,
                                                  monkeypatch):
-        # three sources per block: each block starts at its own radius,
-        # from below the first fraction of the diameter to past it
+        # three sources per block: each block starts at its own radius
         twin, predicted = jitter_pair
         m = twin.num_vertices
         monkeypatch.setattr(evaluate, "_CHUNK_BYTES", 3 * 8 * m)
@@ -131,8 +130,38 @@ class TestMatchesDenseOracle:
         got = correspondence_error(predicted, truth, twin)
         assert np.array_equal(
             got, _oracles.correspondence_error_dense(predicted, truth, twin))
-        small = got[got > 0].min()
-        assert small < evaluate._START_FRACTION < got.max()
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-9], ids=["welded", "near"])
+    @pytest.mark.parametrize("chunk_rows", [1, None], ids=["one-per-block", "one-block"])
+    def test_tiny_chords_across_a_seam(self, monkeypatch, chunk_rows, gap):
+        # each wrong image is its truth's twin across the seam: no chord or
+        # a 1e-9 one, once around the ring on the graph; each block starts
+        # at the shortest edge, not at its chord, and doubles from there
+        mesh = _meshes.seamed_ring(gap=gap)
+        m, cols = mesh.num_vertices, 13
+        if chunk_rows is not None:
+            monkeypatch.setattr(evaluate, "_CHUNK_BYTES", chunk_rows * 8 * m)
+        limits = []
+        search = evaluate.geodesic_distance_matrix
+        monkeypatch.setattr(
+            evaluate, "geodesic_distance_matrix",
+            lambda mesh, sources, limit: limits.append(limit) or search(
+                mesh, sources, limit=limit))
+        truth = np.arange(m)
+        predicted = truth.copy()
+        seam = np.arange(0, m, cols)
+        predicted[seam] = seam + cols - 1
+        chords = np.linalg.norm(mesh.vertices[predicted] - mesh.vertices[truth], axis=1)
+        assert chords.max() <= 2 * gap
+        got = correspondence_error(predicted, truth, mesh)
+        assert np.array_equal(
+            got, _oracles.correspondence_error_dense(predicted, truth, mesh))
+        assert (got[seam] > 0).all() and not np.delete(got, seam).any()
+        shortest = mesh.edge_graph.data.min()
+        farthest = got.max() * shape_diameter(mesh)
+        passes = 1 + int(np.ceil(np.log2(farthest / shortest)))
+        blocks = len(seam) if chunk_rows == 1 else 1
+        assert limits == [shortest * 2.0**k for k in range(passes)] * blocks
 
     def test_all_exact(self, jitter_pair):
         twin, _ = jitter_pair

@@ -110,6 +110,16 @@ class TestMechanics:
         assert res.outer_iterations == 1
         assert not res.converged
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"max_outer": 0}, "max_outer must be positive"),
+        ({"outer_tol": np.nan}, "outer_tol must be finite"),
+    ])
+    def test_loop_settings_rejected(self, rng, setting, message):
+        A = rng.standard_normal((6, 4))
+        with pytest.raises(ValueError, match=message):
+            match(A, rng.standard_normal((8, 4)), **setting,
+                  options=SolverOptions(lam=0.01, mu=1.0))
+
     def test_pursuit_cap_flags_unconverged(self, coeffs3, options3):
         # the outer loop settles, but its last pursuit stopped at max_iter
         res = match(coeffs3, coeffs3, options=replace(options3, max_iter=1))

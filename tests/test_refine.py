@@ -1,6 +1,6 @@
 """Coefficient-space ICP: nearest rows, Procrustes refit, end-to-end polish."""
 
-import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -125,20 +125,9 @@ class TestNearestRows:
     def test_more_queries_than_one_block(self, rng):
         points = rng.standard_normal((300, 7))
         queries = rng.standard_normal((5000, 7))
-        # several blocks per worker
+        # several blocks, the last one partial
         assert len(queries) > 2 * refine_module._BLOCK_BYTES // (4 * len(points))
         assert_matches_scan(points, queries)
-
-    def test_more_workers_than_cores(self, rng, monkeypatch):
-        # five workers fill disjoint slices of one output array
-        monkeypatch.setattr(refine_module, "_usable_cores", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            assert_matches_scan(rng.standard_normal((300, 7)),
-                                rng.standard_normal((8000, 7)))
-        finally:
-            sys.setswitchinterval(interval)
 
     def test_zero_queries(self):
         got = nearest_rows(np.ones((4, 3)), np.ones((0, 3)))
@@ -147,7 +136,8 @@ class TestNearestRows:
 
     def test_peak_allocation_is_bounded(self, rng):
         # 5,042 rows as in the 5k benchmark mesh: all scores at once would
-        # take 5042^2 float32 = 97 MB, the blocks about 2 MB per worker
+        # take 5042^2 float32 = 97 MB; one block of scores takes 2 MB and
+        # its mask 0.5 MB
         points = rng.standard_normal((5042, 20))
         queries = rng.standard_normal((5042, 20))
         tracemalloc.start()
@@ -156,7 +146,7 @@ class TestNearestRows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 6 * 2**20
 
     def test_validation(self):
         with pytest.raises(ValueError, match="incompatible shapes"):
@@ -167,6 +157,25 @@ class TestNearestRows:
             nearest_rows(np.array([[0.0, np.nan]]), np.ones((2, 2)))
         with pytest.raises(ValueError, match="finite"):
             nearest_rows(np.ones((2, 2)), np.array([[np.inf, 0.0]]))
+
+
+class TestOneThread:
+    """Refinement runs on the calling thread; BLAS keeps its own threads."""
+
+    @pytest.fixture()
+    def no_threads(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"thread started: {thread!r}")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+
+    def test_nearest_rows(self, rng, no_threads):
+        assert_matches_scan(rng.standard_normal((300, 7)),
+                            rng.standard_normal((5000, 7)))
+
+    def test_refine_icp(self, creature4, creature4_basis, rng, no_threads):
+        init = np.eye(20) + 0.05 * rng.standard_normal((20, 20))
+        res = refine_icp(creature4_basis, creature4_basis, init)
+        assert len(res.point_map) == creature4.num_vertices
 
 
 class TestProcrustes:

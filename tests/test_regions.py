@@ -1,5 +1,6 @@
 """Stable-region detection, region sets, and the region file format."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -366,7 +367,9 @@ class TestExactArea:
         order = rng.permutation(m)
         numerators, denominator = regions_module._area_units(areas)
         assert [n / denominator for n in numerators] == areas.tolist()
-        prefix = np.cumsum([0] + [numerators[v] for v in order], dtype=object)
+        # Python ints throughout: np.cumsum over a list converts it with
+        # asarray first, which makes numerators in [2**63, 2**64) float64
+        prefix = list(itertools.accumulate((numerators[v] for v in order), initial=0))
         start = data.draw(st.integers(0, m - 1))
         for size in np.unique(rng.integers(1, m - start + 1, 8)):
             members = order[start:start + size]
