@@ -170,6 +170,15 @@ def _check_sweep_fits(config, params):
                          f"{params.num_functions + 1} or more, got {config.basis_size}")
 
 
+def _load_basis_mesh(config, path):
+    """The mesh at ``path``; ValueError unless it holds ``basis_size`` vertices."""
+    mesh = load_mesh(path)
+    if config.basis_size > mesh.num_vertices:
+        raise ValueError(f"{path}: basis_size {config.basis_size} exceeds the "
+                         f"mesh's {mesh.num_vertices} vertices")
+    return mesh
+
+
 def save_functional_map(functional_map, path):
     np.savetxt(path, np.asarray(functional_map), fmt=_FMAP_FMT)
 
@@ -302,8 +311,8 @@ def run_pipeline(config, until="end"):
         for path in (config.mesh_x, config.mesh_y):
             if not Path(path).exists():
                 raise FileNotFoundError(f"mesh file not found: {path}")
-        mesh_x = load_mesh(config.mesh_x)
-        mesh_y = load_mesh(config.mesh_y)
+        mesh_x = _load_basis_mesh(config, config.mesh_x)
+        mesh_y = _load_basis_mesh(config, config.mesh_y)
     if config.region_source == "files":
         with _guard("regions", reading=True):
             regions_x = load_regions(config.regions_x, mesh_x)
@@ -337,6 +346,10 @@ def run_pipeline(config, until="end"):
                        prune_ratio=config.prune_ratio,
                        max_outer=config.max_outer, outer_tol=config.outer_tol)
         write_match_report(result, out_dir / "match_report.txt")
+        if result.degenerate:
+            raise ValueError(
+                f"degenerate map (C = 0 or every region an outlier) at lambda "
+                f"{result.lam:.6g}, mu {result.mu:.6g}; see match_report.txt")
         save_functional_map(result.functional_map, out_dir / "functional_map.txt")
     t_match = time.perf_counter() - t0
 
@@ -387,7 +400,7 @@ def _cmd_basis(args):
     config = _config_from_args(args)
     with _guard(args.command, reading=True):
         _positive(config, "basis_size")
-        mesh = load_mesh(args.mesh)
+        mesh = _load_basis_mesh(config, args.mesh)
     basis = _mesh_basis(mesh, "", config.basis_size)
     save_basis(basis, args.output)
     print(f"wrote {args.output} ({basis.num_vertices} vertices, {basis.size} functions)")
@@ -399,7 +412,7 @@ def _cmd_detect(args):
         _positive(config, "basis_size")
         params = _detector_params(config)
         _check_sweep_fits(config, params)
-        mesh = load_mesh(args.mesh)
+        mesh = _load_basis_mesh(config, args.mesh)
     basis = _mesh_basis(mesh, args.basis_cache, config.basis_size)
     regions = detect_stable_regions(mesh, basis, params)
     save_regions(regions, args.output)

@@ -36,7 +36,8 @@ class MatchResult:
     refers to the swapped source side).  ``objective_trace`` holds the
     joint objective after each outer alternation.  ``converged`` requires
     both the outer loop to settle and its last pursuit to meet its
-    tolerance before ``options.max_iter``.
+    tolerance before ``options.max_iter``.  ``lam`` and ``mu`` are the
+    penalties used, given or resolved from the caller's coefficients.
     """
 
     functional_map: np.ndarray
@@ -49,6 +50,12 @@ class MatchResult:
     swapped: bool
     lam: float
     mu: float
+
+    @property
+    def degenerate(self):
+        """C is all zero, or every row of ``outliers`` is nonzero."""
+        return (not self.functional_map.any()
+                or bool(self.outliers.any(axis=1).all()))
 
 
 def match(coeffs_x, coeffs_y, regions_x=None, regions_y=None, weights=None,
@@ -63,8 +70,9 @@ def match(coeffs_x, coeffs_y, regions_x=None, regions_y=None, weights=None,
         When both are given, pairs whose areas differ more than
         ``prune_ratio``-fold are excluded from assignment.
     weights, options
-        Forwarded to the pursuit solver; penalties resolve once from the
-        initial averaged target and stay fixed across alternations.
+        Forwarded to the pursuit solver; penalties left None resolve once
+        from ``coeffs_x`` and ``coeffs_y`` as given (``resolve_penalties``,
+        before any swap) and stay fixed across alternations.
     max_outer, outer_tol
         The loop stops when the assignment repeats, the outer objective
         change falls below ``outer_tol`` (relative), or after
@@ -75,6 +83,9 @@ def match(coeffs_x, coeffs_y, regions_x=None, regions_y=None, weights=None,
     B = np.asarray(coeffs_y, dtype=np.float64)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
         raise ValueError(f"incompatible coefficient shapes {A.shape} and {B.shape}")
+    options = options or SolverOptions()
+    lam, mu = resolve_penalties(A, B, options.lam, options.mu)
+    options = replace(options, lam=lam, mu=mu)
     q = A.shape[0]
     r = B.shape[0]
     if q > r:
@@ -87,15 +98,12 @@ def match(coeffs_x, coeffs_y, regions_x=None, regions_y=None, weights=None,
                        assignment_matrix=inner.assignment_matrix.T.copy(),
                        swapped=True)
 
-    options = options or SolverOptions()
     mask = None
     if regions_x is not None and regions_y is not None and prune_ratio is not None:
         mask = prune(regions_x, regions_y, prune_ratio)
 
     # uniform row-stochastic start: every reordered row is the column mean
     target = np.full((q, r), 1.0 / r) @ B
-    lam, mu = resolve_penalties(A, target, options.lam, options.mu)
-    options = replace(options, lam=lam, mu=mu)
 
     previous_cols = None
     trace = []

@@ -38,7 +38,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Solver knobs.  ``lam`` and ``mu`` default to data-scaled values.
+    """Solver knobs.  ``lam`` and ``mu`` default to ``resolve_penalties``.
 
     ``accelerated`` turns on FISTA momentum on C; convergence is then
     faster but the objective trace is no longer monotone.
@@ -140,20 +140,20 @@ def objective(dictionary, target, functional_map, outliers, weights, lam, mu):
             + mu * float(np.sum(np.linalg.norm(outliers, axis=1))))
 
 
-def resolve_penalties(dictionary, target, lam=None, mu=None):
-    """``lam`` and ``mu``, each data-scaled when None.
+def resolve_penalties(coeffs_x, coeffs_y, lam=None, mu=None):
+    """``lam`` and ``mu``, each scaled from the coefficients when None.
 
-    The default lam is a tenth of the largest correlation |A^T Bp|, the
-    default mu a tenth of the largest row norm of Bp, so both shrinkages
-    engage at comparable magnitudes regardless of input scaling.  A given
-    value passes through unchanged.
+    The default lam is 0.3 max|A^T A| / q for the q rows of A =
+    ``coeffs_x``, the default mu 0.3 times the median row norm of
+    ``coeffs_y``; both stay balanced against the data term as the region
+    count grows.  A given value passes through unchanged.
     """
-    A = np.asarray(dictionary, dtype=np.float64)
-    Bp = np.asarray(target, dtype=np.float64)
+    A = np.asarray(coeffs_x, dtype=np.float64)
+    B = np.asarray(coeffs_y, dtype=np.float64)
     if lam is None:
-        lam = 0.1 * float(np.abs(A.T @ Bp).max())
+        lam = 0.3 * float(np.abs(A.T @ A).max()) / A.shape[0]
     if mu is None:
-        mu = 0.1 * float(np.linalg.norm(Bp, axis=1).max())
+        mu = 0.3 * float(np.median(np.linalg.norm(B, axis=1)))
     return lam, mu
 
 

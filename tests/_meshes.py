@@ -206,19 +206,6 @@ def jittered(mesh, scale=0.005, seed=7):
                 mesh.triangles)
 
 
-def matching_penalties(coeffs_x, coeffs_y):
-    """Explicit solver penalties that behave across region counts.
-
-    The package's data-scaled defaults track the largest correlation,
-    which grows with the number of regions and eventually prices the map
-    out entirely; these stay balanced for the test shapes.
-    """
-    q = coeffs_x.shape[0]
-    lam = 0.3 * float(np.abs(coeffs_x.T @ coeffs_x).max()) / q
-    mu = 0.3 * float(np.median(np.linalg.norm(coeffs_y, axis=1)))
-    return lam, mu
-
-
 def floyd_warshall(mesh):
     """Dense all-pairs shortest paths on the edge graph; oracle for Dijkstra."""
     m = mesh.num_vertices

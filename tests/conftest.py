@@ -6,7 +6,6 @@ import pytest
 import _meshes
 from shapecorr import (
     DetectorParams,
-    SolverOptions,
     cotangent_laplacian,
     detect_stable_regions,
     eigenbasis,
@@ -68,16 +67,15 @@ def creature4_regions(creature4, creature4_basis):
 
 @pytest.fixture(scope="session")
 def creature4_jitter_match(creature4, creature4_basis, creature4_regions):
-    """Acceptance criterion 7's twin, its basis, and the matched map onto it."""
+    """Acceptance criterion 7's twin, its basis and regions, and the
+    default-options match of creature4's regions onto the twin's."""
     twin = _meshes.jittered(creature4, scale=0.005, seed=11)
     twin_basis = eigenbasis(*cotangent_laplacian(twin), 20)
     twin_regions = detect_stable_regions(twin, twin_basis, CREATURE_DETECTOR)
-    coeffs_x = region_coefficients(creature4_regions, creature4_basis)
-    coeffs_y = region_coefficients(twin_regions, twin_basis)
-    lam, mu = _meshes.matching_penalties(coeffs_x, coeffs_y)
-    result = match(coeffs_x, coeffs_y, creature4_regions, twin_regions,
-                   options=SolverOptions(lam=lam, mu=mu))
-    return twin, twin_basis, result.functional_map
+    result = match(region_coefficients(creature4_regions, creature4_basis),
+                   region_coefficients(twin_regions, twin_basis),
+                   creature4_regions, twin_regions)
+    return twin, twin_basis, twin_regions, result
 
 
 @pytest.fixture()

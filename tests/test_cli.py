@@ -20,23 +20,12 @@ from shapecorr.cli import (PipelineConfig, PipelineError, _config_from_args,
 @pytest.fixture(scope="module")
 def env(tmp_path_factory):
     """Self-pair of the small limbed shape plus a tuned config on disk."""
-    from shapecorr import (DetectorParams, cotangent_laplacian,
-                           detect_stable_regions, eigenbasis,
-                           region_coefficients)
-
     tmp = tmp_path_factory.mktemp("cli")
     mesh = _meshes.creature(2)
     save_mesh(mesh, tmp / "x.off")
     save_mesh(mesh, tmp / "y.off")
     (tmp / "truth.txt").write_text(
         "\n".join(str(i) for i in range(mesh.num_vertices)) + "\n")
-
-    basis = eigenbasis(*cotangent_laplacian(mesh), 20)
-    regions = detect_stable_regions(
-        mesh, basis, DetectorParams(num_functions=12, levels=256))
-    lam, mu = _meshes.matching_penalties(
-        region_coefficients(regions, basis),
-        region_coefficients(regions, basis))
 
     config_text = "\n".join([
         "# pipeline smoke configuration",
@@ -46,14 +35,12 @@ def env(tmp_path_factory):
         "basis_size = 20",
         "num_functions = 12",
         "levels = 256",
-        f"lambda = {lam!r}",
-        f"mu = {mu!r}",
         f"truth = {tmp / 'truth.txt'}",
         f"basis_cache_x = {tmp / 'bx.bin'}",
         f"basis_cache_y = {tmp / 'by.bin'}",
     ]) + "\n"
     (tmp / "config.cfg").write_text(config_text)
-    return {"tmp": tmp, "mesh": mesh, "lam": lam, "mu": mu}
+    return {"tmp": tmp, "mesh": mesh}
 
 
 @pytest.fixture(scope="module")
@@ -63,12 +50,16 @@ def ran(env):
 
 
 class TestConfig:
-    def test_parses_values_and_alias(self, env):
+    def test_parses_values_and_alias(self, env, tmp_path):
         config = load_config(env["tmp"] / "config.cfg")
         assert config.basis_size == 20
         assert config.levels == 256
-        assert config.lam == env["lam"]  # spelled "lambda" in the file
+        assert (config.lam, config.mu) == (None, None)
         assert config.mesh_x.endswith("x.off")
+        path = tmp_path / "c.cfg"
+        path.write_text("lambda = 0.125\nmu = 0.5\n")
+        config = load_config(path)
+        assert (config.lam, config.mu) == (0.125, 0.5)
 
     def test_defaults_match_dataclass(self, tmp_path):
         (tmp_path / "empty.cfg").write_text("# nothing set\n\n")
@@ -382,6 +373,14 @@ FAILURES = [
      "stage config: num_functions 6 needs basis_size 7 or more, got 5"),
     ("detect {x} -o {tmp}/r.txt --basis-size 5 --num-functions 6", 2,
      "stage detect: num_functions 6 needs basis_size 7 or more, got 5"),
+    ("run --config {cfg} --out-dir {tmp}/out --basis-size 163", 2,
+     "stage load: {x}: basis_size 163 exceeds the mesh's 162 vertices"),
+    ("match --config {cfg} --out-dir {tmp}/out --basis-size 163", 2,
+     "stage load: {x}: basis_size 163 exceeds the mesh's 162 vertices"),
+    ("basis {x} -o {tmp}/b.bin --basis-size 163", 2,
+     "stage basis: {x}: basis_size 163 exceeds the mesh's 162 vertices"),
+    ("detect {x} -o {tmp}/r.txt --basis-size 163", 2,
+     "stage detect: {x}: basis_size 163 exceeds the mesh's 162 vertices"),
     ("run --config {cfg} --out-dir {tmp}/out --outer-tol nan", 2,
      "stage config: outer_tol must be finite and nonnegative"),
     ("match --config {cfg} --out-dir {tmp}/out --outer-tol -1", 2,
@@ -459,6 +458,19 @@ class TestMain:
         assert code == 1
         assert "no regions detected" in capsys.readouterr().err
 
+    def test_degenerate_map_fails_the_match_stage(self, env, ran, tmp_path,
+                                                  capsys):
+        # a lambda that prices the map out: the report stays for
+        # inspection, and no map file is written
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(env["tmp"] / "config.cfg"),
+                     "--out-dir", str(out), "--lambda", "1e6"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: stage match: degenerate map (C = 0 or every region an outlier)")
+        assert (out / "match_report.txt").exists()
+        assert not (out / "functional_map.txt").exists()
+
     def test_basis_and_detect_subcommands(self, env, tmp_path, capsys):
         mesh_path = str(env["tmp"] / "x.off")
         basis_path = str(tmp_path / "basis.bin")
@@ -471,9 +483,10 @@ class TestMain:
         out = capsys.readouterr().out
         assert "87 regions" in out
 
-    @pytest.mark.parametrize("size", [1, 5])
+    @pytest.mark.parametrize("size", [1, 5, 162])
     def test_basis_below_the_detector_sweep(self, env, tmp_path, size):
-        # basis detects nothing, so the default num_functions is no bound
+        # basis detects nothing, so the default num_functions is no bound;
+        # the mesh's 162 vertices are, and the dense solve takes all of them
         path = tmp_path / "b.bin"
         assert main(["basis", str(env["tmp"] / "x.off"), "-o", str(path),
                      "--basis-size", str(size)]) == 0

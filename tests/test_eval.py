@@ -83,8 +83,9 @@ class TestCorrespondenceError:
 @pytest.fixture(scope="module")
 def jitter_pair(creature4_basis, creature4_jitter_match):
     """A creature4 twin and the refined point map onto it."""
-    twin, twin_basis, fmap = creature4_jitter_match
-    return twin, refine_icp(creature4_basis, twin_basis, fmap).point_map.indices
+    twin, twin_basis, _, result = creature4_jitter_match
+    return twin, refine_icp(creature4_basis, twin_basis,
+                            result.functional_map).point_map.indices
 
 
 class TestMatchesDenseOracle:

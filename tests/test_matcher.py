@@ -1,16 +1,15 @@
 """Alternating matcher: recovery on real regions, mechanics on synthetics."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 import _meshes
 import shapecorr.matcher
 from conftest import CREATURE_DETECTOR
-from shapecorr import (SolverOptions, cotangent_laplacian, detect_stable_regions,
-                       eigenbasis, match, region_coefficients,
-                       regions_from_members, write_match_report)
+from shapecorr import (SolverOptions, correspondence_error, cotangent_laplacian,
+                       detect_stable_regions, eigenbasis, match, refine_icp,
+                       region_coefficients, regions_from_members,
+                       write_match_report)
 from shapecorr.pursuit import resolve_penalties
 
 
@@ -19,17 +18,11 @@ def coeffs3(creature3_regions, creature3_basis):
     return region_coefficients(creature3_regions, creature3_basis)
 
 
-@pytest.fixture(scope="module")
-def options3(coeffs3):
-    lam, mu = _meshes.matching_penalties(coeffs3, coeffs3)
-    return SolverOptions(lam=lam, mu=mu)
-
-
 class TestRecovery:
     """Behavior on genuine region coefficients of the limbed test shape."""
 
-    def test_self_match_is_identity(self, coeffs3, options3):
-        res = match(coeffs3, coeffs3, options=options3)
+    def test_self_match_is_identity(self, coeffs3):
+        res = match(coeffs3, coeffs3)
         q = len(coeffs3)
         assert np.array_equal(res.assignment.cols, np.arange(q))
         assert np.array_equal(res.assignment_matrix, np.eye(q))
@@ -37,14 +30,14 @@ class TestRecovery:
         assert res.outer_iterations <= 4
         assert not res.swapped
 
-    def test_clean_pair_has_no_outliers(self, coeffs3, options3):
-        res = match(coeffs3, coeffs3, options=options3)
+    def test_clean_pair_has_no_outliers(self, coeffs3):
+        res = match(coeffs3, coeffs3)
         assert not res.outliers.any()
 
-    def test_subset_swap_orientation(self, coeffs3, options3):
+    def test_subset_swap_orientation(self, coeffs3):
         # drop the smallest regions on the target side, forcing q > r
         kept = 60
-        res = match(coeffs3, coeffs3[:kept], options=options3)
+        res = match(coeffs3, coeffs3[:kept])
         assert res.swapped
         assert res.assignment is None
         M = res.assignment_matrix
@@ -54,21 +47,39 @@ class TestRecovery:
         # outliers belong to the internally swapped source side
         assert res.outliers.shape == (kept, coeffs3.shape[1])
 
-    def test_shuffle_equivariance(self, coeffs3, options3, rng):
-        base = match(coeffs3, coeffs3, options=options3)
+    def test_shuffle_equivariance(self, coeffs3, rng):
+        base = match(coeffs3, coeffs3)
         sigma = rng.permutation(len(coeffs3))
-        shuffled = match(coeffs3, coeffs3[sigma], options=options3)
+        shuffled = match(coeffs3, coeffs3[sigma])
         expect = np.argsort(sigma)[base.assignment.cols]
         assert np.array_equal(shuffled.assignment.cols, expect)
         assert np.abs(shuffled.functional_map - base.functional_map).max() <= 1e-12
 
-    def test_deterministic(self, coeffs3, options3):
-        first = match(coeffs3, coeffs3, options=options3)
-        second = match(coeffs3, coeffs3, options=options3)
+    def test_deterministic(self, coeffs3):
+        first = match(coeffs3, coeffs3)
+        second = match(coeffs3, coeffs3)
         assert np.array_equal(first.assignment.cols, second.assignment.cols)
         assert np.array_equal(first.functional_map, second.functional_map)
         assert np.array_equal(first.objective_trace, second.objective_trace)
 
+    def test_jitter_pair_both_orientations_at_defaults(
+            self, creature4, creature4_basis, creature4_regions,
+            creature4_jitter_match):
+        # criterion 7's pair with default options, each mesh as the source;
+        # creature4 has more regions than its twin, so x -> y runs swapped
+        twin, twin_basis, twin_regions, forward = creature4_jitter_match
+        backward = match(region_coefficients(twin_regions, twin_basis),
+                         region_coefficients(creature4_regions, creature4_basis),
+                         twin_regions, creature4_regions)
+        assert forward.swapped and not backward.swapped
+        truth = np.arange(twin.num_vertices)
+        for result, (basis_x, basis_y, mesh_y) in (
+                (forward, (creature4_basis, twin_basis, twin)),
+                (backward, (twin_basis, creature4_basis, creature4))):
+            assert not result.degenerate
+            refined = refine_icp(basis_x, basis_y, result.functional_map)
+            errors = correspondence_error(refined.point_map, truth, mesh_y)
+            assert errors.mean() <= 0.06
 
     def test_pursuit_iterations_on_5k_twin(self, monkeypatch):
         # the joint (C, O) iteration ran 1,948 pursuit iterations on this
@@ -80,7 +91,6 @@ class TestRecovery:
             basis = eigenbasis(*cotangent_laplacian(shape), 20)
             regions.append(detect_stable_regions(shape, basis, CREATURE_DETECTOR))
             coeffs.append(region_coefficients(regions[-1], basis))
-        lam, mu = _meshes.matching_penalties(*coeffs)
         iterations = []
         solve = shapecorr.matcher.solve_robust_sparse_coding
 
@@ -90,14 +100,13 @@ class TestRecovery:
             return result
 
         monkeypatch.setattr(shapecorr.matcher, "solve_robust_sparse_coding", counted)
-        match(*coeffs, *regions, options=SolverOptions(lam=lam, mu=mu))
+        match(*coeffs, *regions)
         assert 0 < sum(iterations) <= 1000
 
 class TestMechanics:
     def test_trace_length_matches_iterations(self, rng):
         A = rng.standard_normal((6, 4))
-        res = match(A, rng.standard_normal((8, 4)),
-                    options=SolverOptions(lam=0.01, mu=1.0))
+        res = match(A, rng.standard_normal((8, 4)))
         assert len(res.objective_trace) == res.outer_iterations
         assert np.isfinite(res.objective_trace).all()
         assert res.assignment_matrix.shape == (6, 8)
@@ -105,8 +114,7 @@ class TestMechanics:
 
     def test_outer_cap(self, rng):
         A = rng.standard_normal((6, 4))
-        res = match(A, rng.standard_normal((8, 4)), max_outer=1,
-                    options=SolverOptions(lam=0.01, mu=1.0))
+        res = match(A, rng.standard_normal((8, 4)), max_outer=1)
         assert res.outer_iterations == 1
         assert not res.converged
 
@@ -117,12 +125,11 @@ class TestMechanics:
     def test_loop_settings_rejected(self, rng, setting, message):
         A = rng.standard_normal((6, 4))
         with pytest.raises(ValueError, match=message):
-            match(A, rng.standard_normal((8, 4)), **setting,
-                  options=SolverOptions(lam=0.01, mu=1.0))
+            match(A, rng.standard_normal((8, 4)), **setting)
 
-    def test_pursuit_cap_flags_unconverged(self, coeffs3, options3):
+    def test_pursuit_cap_flags_unconverged(self, coeffs3):
         # the outer loop settles, but its last pursuit stopped at max_iter
-        res = match(coeffs3, coeffs3, options=replace(options3, max_iter=1))
+        res = match(coeffs3, coeffs3, options=SolverOptions(max_iter=1))
         assert res.outer_iterations < 10
         assert not res.converged
 
@@ -132,13 +139,30 @@ class TestMechanics:
         assert res.lam == 0.123
         assert res.mu == 0.456
 
-    def test_auto_penalties_resolve_from_uniform_start(self, rng):
+    def test_auto_penalties_resolve_from_callers_coefficients(self, rng):
         A = rng.standard_normal((5, 3))
         B = rng.standard_normal((7, 3))
-        res = match(A, B)
-        expect_lam, expect_mu = resolve_penalties(A, np.full((5, 7), 1 / 7) @ B)
-        assert res.lam == expect_lam
-        assert res.mu == expect_mu
+        # 0.3 max|A^T A| / q on the caller's A, 0.3 median row norm of B;
+        # the swapped call (q > r) resolves in the caller's orientation too
+        for X, Y in ((A, B), (B, A)):
+            res = match(X, Y)
+            assert res.swapped == (len(X) > len(Y))
+            assert res.lam == 0.3 * np.abs(X.T @ X).max() / len(X)
+            assert res.mu == 0.3 * np.median(np.linalg.norm(Y, axis=1))
+            assert (res.lam, res.mu) == resolve_penalties(X, Y)
+
+    def test_degenerate_flag(self, coeffs3, rng):
+        assert not match(coeffs3, coeffs3).degenerate
+        priced_out = match(coeffs3, coeffs3, options=SolverOptions(lam=1e6))
+        assert not priced_out.functional_map.any()
+        assert priced_out.degenerate
+        # a nonzero map that explains no row: every residual is an outlier
+        written_off = match(rng.standard_normal((6, 4)),
+                            rng.standard_normal((8, 4)),
+                            options=SolverOptions(lam=0.0, mu=1e-6))
+        assert written_off.functional_map.any()
+        assert written_off.outliers.any(axis=1).all()
+        assert written_off.degenerate
 
     def test_prune_forces_area_consistent_pairs(self, tetra):
         members = np.zeros((2, 4), dtype=bool)
@@ -164,7 +188,7 @@ class TestReport:
     def test_content_and_determinism(self, rng, tmp_path):
         A = rng.standard_normal((4, 3))
         B = rng.standard_normal((6, 3))
-        res = match(A, B, options=SolverOptions(lam=0.01, mu=1.0))
+        res = match(A, B)
         first = tmp_path / "a.txt"
         second = tmp_path / "b.txt"
         write_match_report(res, first)

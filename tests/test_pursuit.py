@@ -155,11 +155,13 @@ class TestObjective:
         assert got == pytest.approx(0.5 * 1.25 + 0.3 * 2.0 + 2.0 * 0.5)
 
     def test_resolve_penalties_formula(self):
+        # lam = 0.3 max|A^T A| / q: A^T A = diag(1, 4) over q = 2 rows;
+        # mu = 0.3 median row norm of B: the median of 5, 1 and 1
         A = np.array([[1.0, 0.0], [0.0, 2.0]])
-        B = np.array([[3.0, 1.0], [1.0, 1.0]])
+        B = np.array([[3.0, 4.0], [1.0, 0.0], [0.0, 1.0]])
         lam, mu = resolve_penalties(A, B)
-        assert lam == pytest.approx(0.3)
-        assert mu == pytest.approx(0.1 * np.sqrt(10.0))
+        assert lam == pytest.approx(0.6)
+        assert mu == pytest.approx(0.3)
         # a given value passes through; only the missing one is computed
         assert resolve_penalties(A, B, lam=2.5) == (2.5, mu)
         assert resolve_penalties(A, B, mu=0.0) == (lam, 0.0)

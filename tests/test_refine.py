@@ -278,7 +278,8 @@ class TestSampledFit:
     def test_jitter_pair_error_matches_all_rows(self, creature4, creature4_basis,
                                                 creature4_jitter_match):
         # the matched map of acceptance criterion 7, refined both ways
-        twin, twin_basis, fmap = creature4_jitter_match
+        twin, twin_basis, _, matched = creature4_jitter_match
+        fmap = matched.functional_map
         assert creature4.num_vertices > refine_module._FIT_ROWS
         truth = np.arange(creature4.num_vertices)
         means = []
