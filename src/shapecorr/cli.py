@@ -347,9 +347,8 @@ def run_pipeline(config, until="end"):
                        max_outer=config.max_outer, outer_tol=config.outer_tol)
         write_match_report(result, out_dir / "match_report.txt")
         if result.degenerate:
-            raise ValueError(
-                f"degenerate map (C = 0 or every region an outlier) at lambda "
-                f"{result.lam:.6g}, mu {result.mu:.6g}; see match_report.txt")
+            raise ValueError(f"degenerate map (C = 0) at lambda {result.lam:.6g}, "
+                             f"mu {result.mu:.6g}; see match_report.txt")
         save_functional_map(result.functional_map, out_dir / "functional_map.txt")
     t_match = time.perf_counter() - t0
 

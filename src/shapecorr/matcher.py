@@ -53,9 +53,8 @@ class MatchResult:
 
     @property
     def degenerate(self):
-        """C is all zero, or every row of ``outliers`` is nonzero."""
-        return (not self.functional_map.any()
-                or bool(self.outliers.any(axis=1).all()))
+        """C is all zero: the penalties priced the map out."""
+        return not self.functional_map.any()
 
 
 def match(coeffs_x, coeffs_y, regions_x=None, regions_y=None, weights=None,

@@ -8,8 +8,10 @@ import pytest
 
 import _meshes
 from shapecorr import (DEFAULT_THRESHOLDS, DetectorParams, SolverOptions,
-                       SpectralBasis, default_weights, load_basis, match,
-                       refine_icp, save_basis, save_mesh, shape_diameter)
+                       SpectralBasis, default_weights,
+                       geodesic_distance_matrix, load_basis, match,
+                       refine_icp, region_coefficients, regions_from_members,
+                       save_basis, save_mesh, save_regions, shape_diameter)
 from shapecorr import cli
 from shapecorr.cli import (PipelineConfig, PipelineError, _config_from_args,
                            _detector_params, _solver_options, build_parser,
@@ -467,9 +469,55 @@ class TestMain:
                      "--out-dir", str(out), "--lambda", "1e6"])
         assert code == 1
         assert capsys.readouterr().err.startswith(
-            "error: stage match: degenerate map (C = 0 or every region an outlier)")
+            "error: stage match: degenerate map (C = 0)")
         assert (out / "match_report.txt").exists()
         assert not (out / "functional_map.txt").exists()
+
+    def test_match_keeps_an_exact_map_whose_rows_all_carry_outliers(
+            self, creature4, creature4_basis, tmp_path):
+        # twelve spread geodesic balls against the same balls plus three
+        # small spurious caps, shuffled (the benchmark's match-planted
+        # trial 2 at seed 1): prox_l21 leaves every source row an outlier
+        # row wherever its residual norm exceeds mu, yet the pairing is
+        # exact and C is nonzero, so the map is kept
+        mesh = creature4
+        m = mesh.num_vertices
+        rng = np.random.default_rng(2)
+        centres = [int(rng.integers(m))]
+        dist = geodesic_distance_matrix(mesh, centres)[0]
+        for _ in range(11):
+            centres.append(int(np.argmax(dist)))
+            dist = np.minimum(dist, geodesic_distance_matrix(mesh, [centres[-1]])[0])
+        radii = rng.permutation(np.linspace(0.07, 0.30, 12))
+        spur_centres = rng.integers(0, m, 3)
+        spur_radii = rng.uniform(0.04, 0.06, 3)
+        diam = shape_diameter(mesh)
+        planted = geodesic_distance_matrix(mesh, centres) <= radii[:, None] * diam
+        spurious = (geodesic_distance_matrix(mesh, spur_centres)
+                    <= spur_radii[:, None] * diam)
+        order = np.random.default_rng([1, 2]).permutation(15)
+        rx = regions_from_members(planted, mesh)
+        ry = regions_from_members(np.vstack([planted, spurious])[order], mesh)
+
+        result = match(region_coefficients(rx, creature4_basis),
+                       region_coefficients(ry, creature4_basis), rx, ry)
+        assert result.outliers.any(axis=1).all()
+        assert np.array_equal(result.assignment.cols, np.argsort(order)[:12])
+        assert not result.degenerate
+
+        save_mesh(mesh, tmp_path / "x.off")
+        save_basis(creature4_basis, tmp_path / "b.bin")
+        save_regions(rx, tmp_path / "rx.txt")
+        save_regions(ry, tmp_path / "ry.txt")
+        code = main(["match", "--mesh-x", str(tmp_path / "x.off"),
+                     "--mesh-y", str(tmp_path / "x.off"),
+                     "--basis-cache-x", str(tmp_path / "b.bin"),
+                     "--basis-cache-y", str(tmp_path / "b.bin"),
+                     "--regions-x", str(tmp_path / "rx.txt"),
+                     "--regions-y", str(tmp_path / "ry.txt"),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 0
+        assert np.loadtxt(tmp_path / "out" / "functional_map.txt").any()
 
     def test_basis_and_detect_subcommands(self, env, tmp_path, capsys):
         mesh_path = str(env["tmp"] / "x.off")

@@ -151,18 +151,11 @@ class TestMechanics:
             assert res.mu == 0.3 * np.median(np.linalg.norm(Y, axis=1))
             assert (res.lam, res.mu) == resolve_penalties(X, Y)
 
-    def test_degenerate_flag(self, coeffs3, rng):
+    def test_degenerate_flag(self, coeffs3):
         assert not match(coeffs3, coeffs3).degenerate
         priced_out = match(coeffs3, coeffs3, options=SolverOptions(lam=1e6))
         assert not priced_out.functional_map.any()
         assert priced_out.degenerate
-        # a nonzero map that explains no row: every residual is an outlier
-        written_off = match(rng.standard_normal((6, 4)),
-                            rng.standard_normal((8, 4)),
-                            options=SolverOptions(lam=0.0, mu=1e-6))
-        assert written_off.functional_map.any()
-        assert written_off.outliers.any(axis=1).all()
-        assert written_off.degenerate
 
     def test_prune_forces_area_consistent_pairs(self, tetra):
         members = np.zeros((2, 4), dtype=bool)
