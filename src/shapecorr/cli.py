@@ -2,17 +2,18 @@
 
 Subcommands cover each stage (basis, detect, match, refine, eval, export)
 plus ``run``, which chains the same stage bodies from a flat ``key = value``
-config file; a flag overrides the config key of the same name.  Exit codes:
-0 success, 1 computational failure, 2 usage, configuration or file error
-(a bad config value or input file, which ``run`` finds before any
-eigensolve, or an ``out_dir`` that cannot be created).  Errors name their
-stage.
+config file; a flag overrides the config key of the same name.  Each
+subcommand checks the keys it has flags for, before any eigensolve.  Exit
+codes: 0 success, 1 computational failure, 2 usage, configuration or file
+error (a bad config value or input file, or an ``out_dir`` that cannot be
+created).  Errors name their stage.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -20,10 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .assignment import _check_ratio
-from .evaluate import (ErrorCurve, correspondence_error, error_curve,
+from .evaluate import (_threshold_grid, correspondence_error, error_curve,
                        export_colored_ply, save_error_curve)
-from .matcher import _check_loop, match, write_match_report
+from .matcher import match, write_match_report
 from .mesh import (MeshParseError, MeshValidationError, _Lines, load_mesh,
                    shape_diameter)
 from .pursuit import SolverOptions, default_weights
@@ -47,12 +47,16 @@ class PipelineError(Exception):
         self.exit_code = exit_code
 
 
+def _default(function, parameter):
+    return inspect.signature(function).parameters[parameter].default
+
+
 @dataclass
 class PipelineConfig:
     """Flat pipeline configuration; field names double as config keys.
 
-    Detector and solver keys take their defaults from DetectorParams and
-    SolverOptions.
+    Every stage setting takes its default from the library: DetectorParams,
+    SolverOptions, or the keyword of the function that uses it.
     """
 
     mesh_x: str = ""
@@ -75,15 +79,15 @@ class PipelineConfig:
     tol: float = SolverOptions.tol
     max_iter: int = SolverOptions.max_iter
     accel: bool = SolverOptions.accelerated
-    weight_p: float = 1.0
-    prune_ratio: float = 3.0
-    max_outer: int = 10
-    outer_tol: float = 1e-6
-    refine_iters: int = 30
+    weight_p: float = _default(default_weights, "power")
+    prune_ratio: float = _default(match, "prune_ratio")
+    max_outer: int = _default(match, "max_outer")
+    outer_tol: float = _default(match, "outer_tol")
+    refine_iters: int = _default(refine_icp, "max_iters")
     truth: str = ""
-    diameter_samples: int = 32
-    threshold_max: float = 0.25
-    threshold_step: float = 0.01
+    diameter_samples: int = _default(shape_diameter, "sample_count")
+    threshold_max: float = _default(_threshold_grid, "top")
+    threshold_step: float = _default(_threshold_grid, "step")
 
 
 # config key -> dataclass field, in declaration order
@@ -93,6 +97,20 @@ _FIELDS = {f.name: f for f in fields(PipelineConfig)}
 _KEY_ALIASES = {"lambda": "lam"}
 
 _CHOICES = {"region_source": ("detect", "files")}
+
+_DETECTOR_KEYS = tuple(f.name for f in fields(DetectorParams))
+
+# solver config key -> SolverOptions field
+_SOLVER_KEYS = dict(lam="lam", mu="mu", tol="tol", max_iter="max_iter", accel="accelerated")
+
+# config key -> (test its value passes, what it must be); NaN fails every
+# test.  DetectorParams and SolverOptions check their own keys.
+_RULES = {key: (lambda value: value >= 1, "must be positive") for key in
+          ("basis_size", "max_outer", "refine_iters", "diameter_samples")} | {
+    "prune_ratio": (lambda value: value >= 1, "must be at least 1"),
+    "outer_tol": (lambda value: 0 <= value < np.inf, "must be finite and nonnegative"),
+    "weight_p": (lambda value: -np.inf < value < np.inf, "must be finite"),
+}
 
 
 def _field_kind(field):
@@ -136,38 +154,39 @@ def load_config(path):
 
 
 def _detector_params(config):
-    return DetectorParams(**{f.name: getattr(config, f.name)
-                             for f in fields(DetectorParams)})
+    return DetectorParams(**{key: getattr(config, key) for key in _DETECTOR_KEYS})
 
 
 def _solver_options(config):
-    return SolverOptions(lam=config.lam, mu=config.mu, tol=config.tol,
-                         max_iter=config.max_iter, accelerated=config.accel)
+    return SolverOptions(**{name: getattr(config, key)
+                            for key, name in _SOLVER_KEYS.items()})
 
 
-def _thresholds(config):
-    """The error-curve grid 0, step, ... up to threshold_max, as ErrorCurve checks it."""
-    try:
-        grid = np.arange(0.0, config.threshold_max + 1e-9, config.threshold_step)
-        return ErrorCurve(grid, np.zeros_like(grid)).thresholds
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"threshold_max {config.threshold_max}, "
-                         f"threshold_step {config.threshold_step}: {exc}") from None
-
-
-def _positive(config, *keys):
-    """Raise ValueError naming the first of ``keys`` whose value is below 1."""
+def _check(config, keys):
+    """Raise ValueError for the first rule the values of ``keys`` break: each
+    key's own, then DetectorParams and SolverOptions, then those across keys."""
     for key in keys:
-        if getattr(config, key) < 1:
-            raise ValueError(f"{key} must be positive")
-
-
-def _check_sweep_fits(config, params):
-    """Raise ValueError unless the basis holds the detector's
-    ``num_functions`` eigenfunctions after the constant one."""
-    if config.basis_size <= params.num_functions:
-        raise ValueError(f"num_functions {params.num_functions} needs basis_size "
-                         f"{params.num_functions + 1} or more, got {config.basis_size}")
+        value = getattr(config, key)
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise ValueError(f"unknown {key} {value!r}")
+        if key in _RULES and not _RULES[key][0](value):
+            raise ValueError(f"{key} {_RULES[key][1]}")
+    if not set(keys).isdisjoint(_DETECTOR_KEYS):
+        params = _detector_params(config)
+        if config.region_source == "detect" and config.basis_size <= params.num_functions:
+            raise ValueError(f"num_functions {params.num_functions} needs basis_size "
+                             f"{params.num_functions + 1} or more, got {config.basis_size}")
+    if not set(keys).isdisjoint(_SOLVER_KEYS):
+        _solver_options(config)
+    if "region_source" in keys and config.region_source == "files" and not (
+            config.regions_x and config.regions_y):
+        raise ValueError("region_source=files needs regions_x and regions_y")
+    if not set(keys).isdisjoint(("threshold_max", "threshold_step")):
+        try:
+            _threshold_grid(config.threshold_max, config.threshold_step)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"threshold_max {config.threshold_max}, "
+                             f"threshold_step {config.threshold_step}: {exc}") from None
 
 
 def _load_basis_mesh(config, path):
@@ -262,7 +281,8 @@ def _evaluate(config, point_map, mesh_y, truth):
     with _guard("evaluate"):
         diameter = shape_diameter(mesh_y, config.diameter_samples)
         errors = correspondence_error(point_map, truth, mesh_y, diameter)
-        save_error_curve(error_curve(errors, _thresholds(config)), out_dir / "error_curve.txt")
+        thresholds = _threshold_grid(config.threshold_max, config.threshold_step)
+        save_error_curve(error_curve(errors, thresholds), out_dir / "error_curve.txt")
         (out_dir / "eval_summary.txt").write_text(
             f"mean_error = {float(errors.mean()):.12f}\n"
             f"median_error = {float(np.median(errors)):.12f}\n")
@@ -289,20 +309,7 @@ def run_pipeline(config, until="end"):
         raise ValueError(f"unknown pipeline stop point {until!r}")
     t_total = time.perf_counter()
     with _guard("config", reading=True):
-        if config.region_source not in _CHOICES["region_source"]:
-            raise ValueError(f"unknown region_source {config.region_source!r}")
-        if config.region_source == "files" and not (config.regions_x and config.regions_y):
-            raise ValueError("region_source=files needs regions_x and regions_y")
-        _positive(config, "basis_size", "refine_iters", "diameter_samples")
-        params = _detector_params(config)
-        if config.region_source == "detect":
-            _check_sweep_fits(config, params)
-        options = _solver_options(config)
-        if not np.isfinite(config.weight_p):
-            raise ValueError("weight_p must be finite")
-        _check_ratio(config.prune_ratio, "prune_ratio")
-        _check_loop(config.max_outer, config.outer_tol)
-        _thresholds(config)
+        _check(config, _FIELDS)
     out_dir = _out_dir(config)
 
     with _guard("load", reading=True):
@@ -330,6 +337,7 @@ def run_pipeline(config, until="end"):
     t0 = time.perf_counter()
     with _guard("regions"):
         if config.region_source == "detect":
+            params = _detector_params(config)
             regions_x = detect_stable_regions(mesh_x, basis_x, params)
             regions_y = detect_stable_regions(mesh_y, basis_y, params)
         save_regions(regions_x, out_dir / "regions_x.txt")
@@ -342,7 +350,7 @@ def run_pipeline(config, until="end"):
         coeffs_y = region_coefficients(regions_y, basis_y)
         weights = default_weights(config.basis_size, config.weight_p)
         result = match(coeffs_x, coeffs_y, regions_x, regions_y,
-                       weights=weights, options=options,
+                       weights=weights, options=_solver_options(config),
                        prune_ratio=config.prune_ratio,
                        max_outer=config.max_outer, outer_tol=config.outer_tol)
         write_match_report(result, out_dir / "match_report.txt")
@@ -385,6 +393,8 @@ def run_pipeline(config, until="end"):
 
 
 def _config_from_args(args):
+    """The config file's values, if a file is given, under the flags set;
+    checked here, or by run_pipeline for ``run`` and ``match``."""
     config = PipelineConfig()
     if getattr(args, "config", None):
         config = load_config(args.config)
@@ -392,35 +402,31 @@ def _config_from_args(args):
         value = getattr(args, key, None)
         if value is not None:
             setattr(config, key, value)
+    if args.command not in ("run", "match"):
+        with _guard(args.command, reading=True):
+            _check(config, args.config_keys)
     return config
 
 
-def _cmd_basis(args):
-    config = _config_from_args(args)
+def _cmd_basis(args, config):
     with _guard(args.command, reading=True):
-        _positive(config, "basis_size")
         mesh = _load_basis_mesh(config, args.mesh)
     basis = _mesh_basis(mesh, "", config.basis_size)
     save_basis(basis, args.output)
     print(f"wrote {args.output} ({basis.num_vertices} vertices, {basis.size} functions)")
 
 
-def _cmd_detect(args):
-    config = _config_from_args(args)
+def _cmd_detect(args, config):
     with _guard(args.command, reading=True):
-        _positive(config, "basis_size")
-        params = _detector_params(config)
-        _check_sweep_fits(config, params)
         mesh = _load_basis_mesh(config, args.mesh)
     basis = _mesh_basis(mesh, args.basis_cache, config.basis_size)
-    regions = detect_stable_regions(mesh, basis, params)
+    regions = detect_stable_regions(mesh, basis, _detector_params(config))
     save_regions(regions, args.output)
     print(f"wrote {args.output} ({len(regions)} regions)")
 
 
-def _cmd_pipeline(args):
+def _cmd_pipeline(args, config):
     """``run`` and ``match``; region files switch the region source to files."""
-    config = _config_from_args(args)
     if args.regions_x or args.regions_y:
         config.region_source = "files"
     result = run_pipeline(config, until="end" if args.command == "run" else "match")
@@ -430,10 +436,8 @@ def _cmd_pipeline(args):
         print(f"mean normalized error: {result['mean_error']:.6f}")
 
 
-def _cmd_refine(args):
-    config = _config_from_args(args)
+def _cmd_refine(args, config):
     with _guard(args.command, reading=True):
-        _positive(config, "refine_iters")
         basis_x, basis_y = load_basis(args.basis_x), load_basis(args.basis_y)
         fmap = load_functional_map(args.fmap)
         n = basis_x.size
@@ -448,11 +452,8 @@ def _cmd_refine(args):
           f"({refined.iterations} iterations)")
 
 
-def _cmd_eval(args):
-    config = _config_from_args(args)
+def _cmd_eval(args, config):
     with _guard(args.command, reading=True):
-        _positive(config, "diameter_samples")
-        _thresholds(config)
         mesh_y = load_mesh(config.mesh_y)
         truth = load_point_map(config.truth, num_targets=mesh_y.num_vertices)
         predicted = load_point_map(args.map, num_targets=mesh_y.num_vertices)
@@ -462,8 +463,7 @@ def _cmd_eval(args):
     print(f"wrote {out_dir / 'error_curve.txt'}")
 
 
-def _cmd_export(args):
-    config = _config_from_args(args)
+def _cmd_export(args, config):
     with _guard(args.command, reading=True):
         mesh_x = load_mesh(config.mesh_x)
         mesh_y = load_mesh(config.mesh_y)
@@ -475,7 +475,9 @@ def _cmd_export(args):
 
 def _add_config_flags(sub, keys, required=(), dash_o=False):
     """One flag per config key in ``keys``, default None so only set flags
-    override the config; ``dash_o`` also spells ``--out-dir`` as ``-o``."""
+    override the config; ``dash_o`` also spells ``--out-dir`` as ``-o``.
+    ``keys`` are also the subcommand's ``config_keys``, the ones it checks."""
+    sub.set_defaults(config_keys=tuple(keys))
     flag_names = {key: flag for flag, key in _KEY_ALIASES.items()}
     for key in keys:
         kind = _field_kind(_FIELDS[key])
@@ -506,7 +508,7 @@ def build_parser():
     p.add_argument("mesh")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--basis-cache", dest="basis_cache", default="")
-    _add_config_flags(p, ["basis_size", *(f.name for f in fields(DetectorParams))])
+    _add_config_flags(p, ["basis_size", *_DETECTOR_KEYS])
 
     for name, help_text in (("match", "run the pipeline through matching"),
                             ("run", "run the full pipeline from a config file")):
@@ -541,7 +543,7 @@ def main(argv=None):
                "export": _cmd_export}[args.command]
     try:
         with _guard(args.command):
-            handler(args)
+            handler(args, _config_from_args(args))
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

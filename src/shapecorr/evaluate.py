@@ -25,8 +25,6 @@ __all__ = [
     "save_error_curve",
 ]
 
-DEFAULT_THRESHOLDS = np.arange(0.0, 0.25 + 1e-9, 0.01)
-
 # correspondence_error: Dijkstra output per batch of sources.  Each batch's
 # search radius starts at 1.5 times its longest chord, or at the shortest
 # edge, and doubles until all pairs land.
@@ -61,6 +59,15 @@ class ErrorCurve:
             raise ValueError("fractions must be nondecreasing")
         thresholds.setflags(write=False)
         fractions.setflags(write=False)
+
+
+def _threshold_grid(top=0.25, step=0.01):
+    """The read-only thresholds 0, step, 2 step, ... up to ``top``."""
+    grid = np.arange(0.0, top + 1e-9, step)
+    return ErrorCurve(grid, np.zeros_like(grid)).thresholds
+
+
+DEFAULT_THRESHOLDS = _threshold_grid()
 
 
 def correspondence_error(point_map, truth, mesh_y, diameter=None):

@@ -51,12 +51,12 @@ class SolverOptions:
     accelerated: bool = True
 
     def __post_init__(self):
-        if self.lam is not None and self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if self.mu is not None and self.mu < 0:
-            raise ValueError("mu must be nonnegative")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if self.lam is not None and not 0 <= self.lam < np.inf:
+            raise ValueError("lam must be finite and nonnegative")
+        if self.mu is not None and not 0 <= self.mu < np.inf:
+            raise ValueError("mu must be finite and nonnegative")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
 

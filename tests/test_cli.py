@@ -387,7 +387,69 @@ FAILURES = [
      "stage config: outer_tol must be finite and nonnegative"),
     ("match --config {cfg} --out-dir {tmp}/out --outer-tol -1", 2,
      "stage config: outer_tol must be finite and nonnegative"),
+    ("run --config {cfg} --out-dir {tmp}/out --lambda nan", 2,
+     "stage config: lam must be finite and nonnegative"),
+    ("run --config {cfg} --out-dir {tmp}/out --lambda inf", 2,
+     "stage config: lam must be finite and nonnegative"),
+    ("run --config {cfg} --out-dir {tmp}/out --mu nan", 2,
+     "stage config: mu must be finite and nonnegative"),
+    ("run --config {cfg} --out-dir {tmp}/out --mu inf", 2,
+     "stage config: mu must be finite and nonnegative"),
+    ("run --config {cfg} --out-dir {tmp}/out --tol nan", 2,
+     "stage config: tol must be finite and positive"),
+    ("run --config {cfg} --out-dir {tmp}/out --tol inf", 2,
+     "stage config: tol must be finite and positive"),
 ]
+
+
+# per ruled config key: flags that break its rule, and the message
+RULE_BREAKERS = {
+    "basis_size": ("--basis-size 0", "basis_size must be positive"),
+    "region_source": ("--region-source files",
+                      "region_source=files needs regions_x and regions_y"),
+    "num_functions": ("--num-functions 0", "num_functions must be positive"),
+    "levels": ("--levels 2", "levels must be at least stability_window"),
+    "stability_tol": ("--stability-tol nan",
+                      "stability_tol must be finite and nonnegative"),
+    "stability_window": ("--stability-window 1",
+                         "stability_window must be at least 2"),
+    "min_area_frac": ("--min-area-frac nan", "min_area_frac must be in [0, 1]"),
+    "dedup_overlap": ("--dedup-overlap 0", "dedup_overlap must be in (0, 1]"),
+    "lam": ("--lambda -1", "lam must be finite and nonnegative"),
+    "mu": ("--mu inf", "mu must be finite and nonnegative"),
+    "tol": ("--tol 0", "tol must be finite and positive"),
+    "max_iter": ("--max-iter 0", "max_iter must be positive"),
+    "weight_p": ("--weight-p nan", "weight_p must be finite"),
+    "prune_ratio": ("--prune-ratio 0.5", "prune_ratio must be at least 1"),
+    "max_outer": ("--max-outer 0", "max_outer must be positive"),
+    "outer_tol": ("--outer-tol inf", "outer_tol must be finite and nonnegative"),
+    "refine_iters": ("--refine-iters 0", "refine_iters must be positive"),
+    "diameter_samples": ("--diameter-samples 0", "diameter_samples must be positive"),
+    "threshold_max": ("--threshold-max 0.6", "threshold_max 0.6, threshold_step "
+                      "0.01: thresholds must lie in [0, 0.5]"),
+    "threshold_step": ("--threshold-step nan", "threshold_max 0.25, threshold_step "
+                       "nan: "),
+}
+
+# each subcommand's required arguments; no file under {tmp} exists
+COMMAND_ARGV = {
+    "basis": "basis {tmp}/x.off -o {tmp}/b.bin",
+    "detect": "detect {tmp}/x.off -o {tmp}/r.txt",
+    "match": "match --config {cfg} --out-dir {tmp}/out",
+    "run": "run --config {cfg} --out-dir {tmp}/out",
+    "refine": "refine --basis-x {tmp}/bx.bin --basis-y {tmp}/by.bin "
+              "--fmap {tmp}/f.txt -o {tmp}/ref",
+    "eval": "eval --map {tmp}/p.txt --truth {tmp}/t.txt --mesh-y {tmp}/y.off "
+            "-o {tmp}/ev",
+    "export": "export --mesh-x {tmp}/x.off --mesh-y {tmp}/y.off --map {tmp}/p.txt "
+              "-o {tmp}/ex",
+}
+
+
+# every (subcommand, key with a rule) pair, from the keys each subcommand
+# takes as flags and checks
+RULED_PAIRS = [(command, key) for command, parser in _subparsers().items()
+               for key in parser.get_default("config_keys") if key in RULE_BREAKERS]
 
 
 class TestMain:
@@ -431,6 +493,29 @@ class TestMain:
         # only the basis row that fails writing its result gets as far as
         # computing or loading an eigenbasis
         assert len(bases) == argv.startswith("basis {x} -o {file}")
+
+    def test_every_ruled_key_has_a_breaker(self):
+        ruled = (set(cli._RULES) | set(cli._CHOICES) | set(cli._DETECTOR_KEYS)
+                 | set(cli._SOLVER_KEYS) - {"accel"}
+                 | {"threshold_max", "threshold_step"})
+        assert set(RULE_BREAKERS) == ruled
+        assert set(COMMAND_ARGV) == set(_subparsers())
+
+    @pytest.mark.parametrize("command, key", RULED_PAIRS,
+                             ids=[f"{c}-{k}" for c, k in RULED_PAIRS])
+    def test_subcommand_checks_each_ruled_key(self, env, tmp_path, capsys,
+                                              monkeypatch, recwarn, command, key):
+        # the check comes before any input file is read or eigenbasis
+        # computed; run and match check at stage config, the others under
+        # their own name
+        flags, message = RULE_BREAKERS[key]
+        argv = COMMAND_ARGV[command].format(tmp=tmp_path, cfg=env["tmp"] / "config.cfg")
+        bases = []
+        monkeypatch.setattr(cli, "_mesh_basis", lambda *a: bases.append(a))
+        assert main([*argv.split(), *flags.split()]) == 2
+        stage = "config" if command in ("run", "match") else command
+        assert capsys.readouterr().err.startswith(f"error: stage {stage}: {message}")
+        assert not bases and not recwarn.list
 
     def test_run_with_region_files(self, env, ran, tmp_path):
         # the first 12 of the detected regions, header line kept

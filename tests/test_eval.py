@@ -207,6 +207,14 @@ class TestErrorCurveFunction:
         assert curve.fractions[0] == 0.5
         assert curve.fractions[-1] == 0.5  # 0.3 stays above the last threshold
 
+    def test_default_grid_is_read_only(self):
+        before = DEFAULT_THRESHOLDS.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            DEFAULT_THRESHOLDS[1] = 0.02
+        assert np.array_equal(DEFAULT_THRESHOLDS, before)
+        curve = error_curve(np.array([0.0, 0.3]))
+        assert np.array_equal(curve.thresholds, before)
+
     def test_monotone_on_random_errors(self, rng):
         curve = error_curve(rng.uniform(0.0, 0.4, size=200))
         assert (np.diff(curve.fractions) >= 0).all()

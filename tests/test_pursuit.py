@@ -263,12 +263,15 @@ class TestSolver:
             solve_robust_sparse_coding(A, B, initial_map=np.zeros((2, 2)))
 
     def test_options_validation(self):
-        with pytest.raises(ValueError, match="lam"):
-            SolverOptions(lam=-1.0)
-        with pytest.raises(ValueError, match="mu"):
-            SolverOptions(mu=-0.1)
-        with pytest.raises(ValueError, match="tol"):
-            SolverOptions(tol=0.0)
+        for lam in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+                SolverOptions(lam=lam)
+        for mu in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="mu must be finite and nonnegative"):
+                SolverOptions(mu=mu)
+        for tol in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                SolverOptions(tol=tol)
         with pytest.raises(ValueError, match="max_iter"):
             SolverOptions(max_iter=0)
 
