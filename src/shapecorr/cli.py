@@ -78,11 +78,9 @@ class PipelineConfig:
     mu: float | None = SolverOptions.mu
     tol: float = SolverOptions.tol
     max_iter: int = SolverOptions.max_iter
-    accel: bool = SolverOptions.accelerated
     weight_p: float = _default(default_weights, "power")
     prune_ratio: float = _default(match, "prune_ratio")
     max_outer: int = _default(match, "max_outer")
-    outer_tol: float = _default(match, "outer_tol")
     refine_iters: int = _default(refine_icp, "max_iters")
     truth: str = ""
     diameter_samples: int = _default(shape_diameter, "sample_count")
@@ -100,39 +98,21 @@ _CHOICES = {"region_source": ("detect", "files")}
 
 _DETECTOR_KEYS = tuple(f.name for f in fields(DetectorParams))
 
-# solver config key -> SolverOptions field
-_SOLVER_KEYS = dict(lam="lam", mu="mu", tol="tol", max_iter="max_iter", accel="accelerated")
+# config keys that are SolverOptions fields of the same name
+_SOLVER_KEYS = ("lam", "mu", "tol", "max_iter")
 
 # config key -> (test its value passes, what it must be); NaN fails every
-# test.  DetectorParams and SolverOptions check their own keys.
+# test.  DetectorParams, SolverOptions and default_weights (for weight_p)
+# check their own keys.
 _RULES = {key: (lambda value: value >= 1, "must be positive") for key in
           ("basis_size", "max_outer", "refine_iters", "diameter_samples")} | {
     "prune_ratio": (lambda value: value >= 1, "must be at least 1"),
-    "outer_tol": (lambda value: 0 <= value < np.inf, "must be finite and nonnegative"),
-    "weight_p": (lambda value: -np.inf < value < np.inf, "must be finite"),
 }
 
 
 def _field_kind(field):
-    """Scalar type of a dataclass field: bool, int, float or str."""
-    return {"int": int, "float": float, "bool": bool,
-            "float | None": float}.get(field.type, str)
-
-
-def _parse_value(key, raw, kind):
-    raw = raw.strip()
-    if kind is bool:
-        lowered = raw.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"config key {key}: expected a boolean, got {raw!r}")
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    return raw
+    """Scalar type of a dataclass field: int, float or str."""
+    return {"int": int, "float": float, "float | None": float}.get(field.type, str)
 
 
 def load_config(path):
@@ -147,7 +127,7 @@ def load_config(path):
             if key not in _FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                setattr(config, key, _parse_value(key, value, _field_kind(_FIELDS[key])))
+                setattr(config, key, _field_kind(_FIELDS[key])(value.strip()))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return config
@@ -158,8 +138,7 @@ def _detector_params(config):
 
 
 def _solver_options(config):
-    return SolverOptions(**{name: getattr(config, key)
-                            for key, name in _SOLVER_KEYS.items()})
+    return SolverOptions(**{key: getattr(config, key) for key in _SOLVER_KEYS})
 
 
 def _check(config, keys):
@@ -178,6 +157,11 @@ def _check(config, keys):
                              f"{params.num_functions + 1} or more, got {config.basis_size}")
     if not set(keys).isdisjoint(_SOLVER_KEYS):
         _solver_options(config)
+    if "weight_p" in keys:
+        try:
+            default_weights(config.basis_size, config.weight_p)
+        except ValueError as exc:
+            raise ValueError(f"weight_p {config.weight_p}: {exc}") from None
     if "region_source" in keys and config.region_source == "files" and not (
             config.regions_x and config.regions_y):
         raise ValueError("region_source=files needs regions_x and regions_y")
@@ -352,7 +336,7 @@ def run_pipeline(config, until="end"):
         result = match(coeffs_x, coeffs_y, regions_x, regions_y,
                        weights=weights, options=_solver_options(config),
                        prune_ratio=config.prune_ratio,
-                       max_outer=config.max_outer, outer_tol=config.outer_tol)
+                       max_outer=config.max_outer)
         write_match_report(result, out_dir / "match_report.txt")
         if result.degenerate:
             raise ValueError(f"degenerate map (C = 0) at lambda {result.lam:.6g}, "
@@ -481,11 +465,6 @@ def _add_config_flags(sub, keys, required=(), dash_o=False):
     flag_names = {key: flag for flag, key in _KEY_ALIASES.items()}
     for key in keys:
         kind = _field_kind(_FIELDS[key])
-        if kind is bool:
-            # boolean keys default to on; the flag turns one off
-            sub.add_argument(f"--no-{key}", dest=key,
-                             action="store_false", default=None)
-            continue
         flags = [f"--{flag_names.get(key, key).replace('_', '-')}"]
         if dash_o and key == "out_dir":
             flags.insert(0, "-o")

@@ -34,10 +34,12 @@ class MatchResult:
     were swapped internally to restore q <= r (the matrices returned are
     then transposed back into the caller's orientation, and ``outliers``
     refers to the swapped source side).  ``objective_trace`` holds the
-    joint objective after each outer alternation.  ``converged`` requires
-    both the outer loop to settle and its last pursuit to meet its
-    tolerance before ``options.max_iter``.  ``lam`` and ``mu`` are the
-    penalties used, given or resolved from the caller's coefficients.
+    joint objective after each outer alternation.  The loop stops on one
+    of two conditions: the pairing repeats, or ``max_outer`` rounds have
+    run.  ``converged`` holds when it stopped on a repeated pairing and its
+    last pursuit met its tolerance before ``options.max_iter``.  ``lam``
+    and ``mu`` are the penalties used, given or resolved from the caller's
+    coefficients.
     """
 
     functional_map: np.ndarray
@@ -58,7 +60,7 @@ class MatchResult:
 
 
 def match(coeffs_x, coeffs_y, regions_x=None, regions_y=None, weights=None,
-          options=None, prune_ratio=3.0, max_outer=10, outer_tol=1e-6):
+          options=None, prune_ratio=3.0, max_outer=10):
     """Jointly recover transport C, outliers O, and region assignment.
 
     Parameters
@@ -72,15 +74,12 @@ def match(coeffs_x, coeffs_y, regions_x=None, regions_y=None, weights=None,
         Forwarded to the pursuit solver; penalties left None resolve once
         from ``coeffs_x`` and ``coeffs_y`` as given (``resolve_penalties``,
         before any swap) and stay fixed across alternations.
-    max_outer, outer_tol
-        The loop stops when the assignment repeats, the outer objective
-        change falls below ``outer_tol`` (relative), or after
-        ``max_outer`` alternations, whichever is first.
+    max_outer
+        The loop stops when the pairing repeats, which counts as settled,
+        or after ``max_outer`` alternations without a repeat, which does not.
     """
     if max_outer < 1:
         raise ValueError("max_outer must be positive")
-    if not 0 <= outer_tol < np.inf:
-        raise ValueError("outer_tol must be finite and nonnegative")
     A = np.asarray(coeffs_x, dtype=np.float64)
     B = np.asarray(coeffs_y, dtype=np.float64)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
@@ -92,8 +91,7 @@ def match(coeffs_x, coeffs_y, regions_x=None, regions_y=None, weights=None,
     r = B.shape[0]
     if q > r:
         inner = match(B, A, regions_y, regions_x, weights=weights,
-                      options=options, prune_ratio=prune_ratio,
-                      max_outer=max_outer, outer_tol=outer_tol)
+                      options=options, prune_ratio=prune_ratio, max_outer=max_outer)
         return replace(inner,
                        functional_map=inner.functional_map.T.copy(),
                        assignment=None,
@@ -122,9 +120,6 @@ def match(coeffs_x, coeffs_y, regions_x=None, regions_y=None, weights=None,
         assignment = solve_assignment(profit, mask)
         target = B[assignment.cols]
         if previous_cols is not None and np.array_equal(assignment.cols, previous_cols):
-            converged = True
-            break
-        if len(trace) >= 2 and abs(trace[-2] - trace[-1]) <= outer_tol * max(abs(trace[-2]), 1e-300):
             converged = True
             break
         previous_cols = assignment.cols

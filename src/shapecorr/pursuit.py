@@ -79,11 +79,18 @@ def default_weights(n, power=1.0):
 
     ``power = 0`` gives uniform weights; larger powers push C toward the
     diagonal, reflecting how close to isometric the pair is believed to be.
+    A negative power would make the off-diagonal entries the cheap ones.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if not power >= 0:
+        raise ValueError("power must be nonnegative")
     idx = np.arange(n)
-    return (1.0 + np.abs(idx[:, None] - idx[None, :])) ** power
+    with np.errstate(over="ignore"):
+        weights = (1.0 + np.abs(idx[:, None] - idx[None, :])) ** power
+    if not np.isfinite(weights).all():
+        raise ValueError(f"weights overflow: {n}^power is not finite")
+    return weights
 
 
 def prox_weighted_l1(values, weights, step):

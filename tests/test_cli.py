@@ -8,8 +8,8 @@ import pytest
 
 import _meshes
 from shapecorr import (DEFAULT_THRESHOLDS, DetectorParams, SolverOptions,
-                       SpectralBasis, default_weights,
-                       geodesic_distance_matrix, load_basis, match,
+                       SpectralBasis, cotangent_laplacian, default_weights,
+                       eigenbasis, geodesic_distance_matrix, load_basis, match,
                        refine_icp, region_coefficients, regions_from_members,
                        save_basis, save_mesh, save_regions, shape_diameter)
 from shapecorr import cli
@@ -68,17 +68,6 @@ class TestConfig:
         config = load_config(tmp_path / "empty.cfg")
         assert config == PipelineConfig()
 
-    def test_bool_parsing(self, tmp_path):
-        path = tmp_path / "c.cfg"
-        path.write_text("accel = off\n")
-        assert load_config(path).accel is False
-        path.write_text("accel = YES\n")
-        assert load_config(path).accel is True
-        path.write_text("accel = maybe\n")
-        with pytest.raises(PipelineError, match="expected a boolean") as info:
-            load_config(path)
-        assert info.value.exit_code == 2
-
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("basis_size = 20\nshrinkage = 3\n")
@@ -110,8 +99,8 @@ PIPELINE_FLAGS = {
     "--basis-cache-x", "--basis-cache-y", "--region-source", "--regions-x",
     "--regions-y", "--num-functions", "--levels", "--stability-tol",
     "--stability-window", "--min-area-frac", "--dedup-overlap", "--lambda",
-    "--mu", "--tol", "--max-iter", "--no-accel", "--weight-p",
-    "--prune-ratio", "--max-outer", "--outer-tol", "--refine-iters",
+    "--mu", "--tol", "--max-iter", "--weight-p", "--prune-ratio",
+    "--max-outer", "--refine-iters",
     "--truth", "--diameter-samples", "--threshold-max", "--threshold-step",
 }
 
@@ -150,16 +139,15 @@ class TestParser:
     def test_pipeline_flags(self, command):
         flags = {opt for action in _subparsers()[command]._actions
                  for opt in action.option_strings or [action.dest]}
-        assert len(PIPELINE_FLAGS) == 30
+        assert len(PIPELINE_FLAGS) == 28
         assert flags - {"-h", "--help"} == SUBCOMMAND_FLAGS[command]
 
     def test_pipeline_flags_parse_typed(self):
         args = build_parser().parse_args(
-            ["run", "--basis-size", "7", "--lambda", "0.5", "--no-accel",
+            ["run", "--basis-size", "7", "--lambda", "0.5",
              "--region-source", "files", "--regions-x", "r.txt"])
         assert args.basis_size == 7
         assert args.lam == 0.5
-        assert args.accel is False
         assert (args.region_source, args.regions_x) == ("files", "r.txt")
         # unset flags stay None so they never override a config file
         assert args.levels is None and args.mu is None and args.truth is None
@@ -180,7 +168,6 @@ class TestParser:
         assert config.weight_p == _default(default_weights, "power")
         assert config.prune_ratio == _default(match, "prune_ratio")
         assert config.max_outer == _default(match, "max_outer")
-        assert config.outer_tol == _default(match, "outer_tol")
         assert config.refine_iters == _default(refine_icp, "max_iters")
         assert config.diameter_samples == _default(shape_diameter, "sample_count")
         thresholds = np.arange(0.0, config.threshold_max + 1e-9,
@@ -370,7 +357,11 @@ FAILURES = [
     ("basis {x} -o {tmp}/b.bin --basis-size 0", 2,
      "stage basis: basis_size must be positive"),
     ("run --config {cfg} --out-dir {tmp}/out --weight-p nan", 2,
-     "stage config: weight_p must be finite"),
+     "stage config: weight_p nan: power must be nonnegative"),
+    ("run --config {cfg} --out-dir {tmp}/out --weight-p -1000", 2,
+     "stage config: weight_p -1000.0: power must be nonnegative"),
+    ("run --config {cfg} --out-dir {tmp}/out --weight-p 1000", 2,
+     "stage config: weight_p 1000.0: weights overflow: 20^power is not finite"),
     ("run --config {cfg} --out-dir {tmp}/out --basis-size 5 --num-functions 6", 2,
      "stage config: num_functions 6 needs basis_size 7 or more, got 5"),
     ("detect {x} -o {tmp}/r.txt --basis-size 5 --num-functions 6", 2,
@@ -383,10 +374,6 @@ FAILURES = [
      "stage basis: {x}: basis_size 163 exceeds the mesh's 162 vertices"),
     ("detect {x} -o {tmp}/r.txt --basis-size 163", 2,
      "stage detect: {x}: basis_size 163 exceeds the mesh's 162 vertices"),
-    ("run --config {cfg} --out-dir {tmp}/out --outer-tol nan", 2,
-     "stage config: outer_tol must be finite and nonnegative"),
-    ("match --config {cfg} --out-dir {tmp}/out --outer-tol -1", 2,
-     "stage config: outer_tol must be finite and nonnegative"),
     ("run --config {cfg} --out-dir {tmp}/out --lambda nan", 2,
      "stage config: lam must be finite and nonnegative"),
     ("run --config {cfg} --out-dir {tmp}/out --lambda inf", 2,
@@ -419,10 +406,9 @@ RULE_BREAKERS = {
     "mu": ("--mu inf", "mu must be finite and nonnegative"),
     "tol": ("--tol 0", "tol must be finite and positive"),
     "max_iter": ("--max-iter 0", "max_iter must be positive"),
-    "weight_p": ("--weight-p nan", "weight_p must be finite"),
+    "weight_p": ("--weight-p nan", "weight_p nan: power must be nonnegative"),
     "prune_ratio": ("--prune-ratio 0.5", "prune_ratio must be at least 1"),
     "max_outer": ("--max-outer 0", "max_outer must be positive"),
-    "outer_tol": ("--outer-tol inf", "outer_tol must be finite and nonnegative"),
     "refine_iters": ("--refine-iters 0", "refine_iters must be positive"),
     "diameter_samples": ("--diameter-samples 0", "diameter_samples must be positive"),
     "threshold_max": ("--threshold-max 0.6", "threshold_max 0.6, threshold_step "
@@ -494,10 +480,28 @@ class TestMain:
         # computing or loading an eigenbasis
         assert len(bases) == argv.startswith("basis {x} -o {file}")
 
+    @pytest.mark.parametrize("cache, message", [
+        ("other", "cache has 12 vertices, mesh has 162"),
+        ("cut", "cache holds 12 functions, need 20"),
+    ])
+    def test_basis_cache_mismatch(self, env, ran, tmp_path, capsys, cache, message):
+        # a source cache written for another mesh, or cut below basis_size
+        if cache == "other":
+            basis = eigenbasis(*cotangent_laplacian(_meshes.icosahedron()), 12)
+        else:
+            bx = load_basis(env["tmp"] / "bx.bin")
+            basis = SpectralBasis(bx.functions[:, :12], bx.eigenvalues[:12], bx.masses)
+        path = tmp_path / f"{cache}.bin"
+        save_basis(basis, path)
+        code = main(["run", "--config", str(env["tmp"] / "config.cfg"),
+                     "--out-dir", str(tmp_path / "out"), "--basis-cache-x", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: stage basis: {path}: {message}")
+
     def test_every_ruled_key_has_a_breaker(self):
         ruled = (set(cli._RULES) | set(cli._CHOICES) | set(cli._DETECTOR_KEYS)
-                 | set(cli._SOLVER_KEYS) - {"accel"}
-                 | {"threshold_max", "threshold_step"})
+                 | set(cli._SOLVER_KEYS)
+                 | {"weight_p", "threshold_max", "threshold_step"})
         assert set(RULE_BREAKERS) == ruled
         assert set(COMMAND_ARGV) == set(_subparsers())
 

@@ -120,7 +120,6 @@ class TestMechanics:
 
     @pytest.mark.parametrize("setting, message", [
         ({"max_outer": 0}, "max_outer must be positive"),
-        ({"outer_tol": np.nan}, "outer_tol must be finite"),
     ])
     def test_loop_settings_rejected(self, rng, setting, message):
         A = rng.standard_normal((6, 4))

@@ -368,6 +368,10 @@ ACCEPTED_TEXTS = {
                                     "element face 1\nproperty list uchar int vertex_indices\n"
                                     "end_header\n1 0 0 0 255 0 0 9\n1 0 1 0 0 255.7 0 9\n"
                                     "1 0 0 1 -0.5 0 255 9\n3 0 1 2\n"),
+    "ply-underscores": ("ply", "ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+                               "property float y\nproperty float z\nelement face 1\n"
+                               "property list uchar int vertex_indices\nend_header\n"
+                               "1_0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"),
     "ply-unknown-elements": ("ply", "ply\nformat ascii 1.0\nelement material 2\n"
                                     "property float shine\nelement vertex 3\n"
                                     "property float x\nproperty float y\nproperty float z\n"

@@ -40,6 +40,17 @@ class TestWeights:
         with pytest.raises(ValueError, match="positive"):
             default_weights(0)
 
+    @pytest.mark.parametrize("n, power, message", [
+        (3, np.nan, "power must be nonnegative"),
+        (3, -1.0, "power must be nonnegative"),
+        (20, 1000.0, "weights overflow: 20"),
+        (2, np.inf, "weights overflow: 2"),
+    ])
+    def test_bad_power(self, n, power, message):
+        # a negative power makes the off-diagonal entries the cheap ones
+        with pytest.raises(ValueError, match=message):
+            default_weights(n, power)
+
 
 class TestProxL1:
     def test_matches_grid_search(self, rng):

@@ -285,6 +285,16 @@ class TestSweepMatchesOracle:
                                         stability_window=window, min_area_frac=0.0)
                 _assert_sweep_matches_oracle(mesh, basis, params)
 
+    def test_constant_function_has_no_candidates(self):
+        # the first eigenfunction is constant: its one superlevel set is
+        # the whole mesh at every level, which is no region
+        mesh = _meshes.icosphere(2)
+        units = regions_module._area_units(mesh.vertex_areas)
+        phi = np.full(mesh.num_vertices, 0.3)
+        params = DetectorParams(min_area_frac=0.0)
+        assert _rows(mesh.num_vertices,
+                     regions_module._stable_components(mesh, phi, params, units)) == []
+
 
 class TestDetectorMatchesOracle:
     """Whole detections match the oracle detector, errors included."""
