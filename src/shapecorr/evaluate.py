@@ -28,8 +28,9 @@ __all__ = [
 # correspondence_error: Dijkstra output per batch of sources.  Each batch's
 # search radius starts at 1.5 times its longest chord, or at the shortest
 # edge, and doubles until all pairs land.
-# On a creature_5k jitter twin, 4 MiB blocks evaluated as fast as 16 MiB
-# ones (0.245 s), and 1 MiB and 512 KiB blocks took 1.4x and 1.7x as long.
+# On creature_5k jitter twins 1, 3 and 4 (medians of 9), 4 MiB blocks
+# evaluated as fast as 16 MiB ones (0.10-0.12 s), and 1 MiB and 512 KiB
+# blocks took 1.1-1.2x and 1.3-1.4x as long.
 _CHUNK_BYTES = 2**22
 
 

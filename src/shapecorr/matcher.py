@@ -10,6 +10,7 @@ warm-starts from the previous map.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -78,6 +79,8 @@ def match(coeffs_x, coeffs_y, regions_x=None, regions_y=None, weights=None,
         The loop stops when the pairing repeats, which counts as settled,
         or after ``max_outer`` alternations without a repeat, which does not.
     """
+    if not isinstance(max_outer, numbers.Integral):
+        raise ValueError(f"max_outer must be an integer, got {max_outer!r}")
     if max_outer < 1:
         raise ValueError("max_outer must be positive")
     A = np.asarray(coeffs_x, dtype=np.float64)

@@ -188,7 +188,9 @@ def geodesic_distance_matrix(mesh, sources, limit=np.inf):
         raise ValueError("sources must be a nonempty 1-d index array")
     if sources.min() < 0 or sources.max() >= mesh.num_vertices:
         raise ValueError("source vertex index out of range")
-    return csgraph.dijkstra(mesh.edge_graph, directed=False, indices=sources,
+    # the edge graph is symmetric, so its directed search is the same graph
+    # without the transpose and two-sided edge scans of the undirected one
+    return csgraph.dijkstra(mesh.edge_graph, directed=True, indices=sources,
                             limit=limit)
 
 

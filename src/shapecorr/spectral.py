@@ -157,13 +157,23 @@ def cotangent_laplacian(mesh):
 def eigenbasis(stiffness, masses, n=DEFAULT_BASIS_SIZE):
     """Lowest ``n`` eigenpairs of  S phi = lambda M phi  as a SpectralBasis.
 
-    Shift-invert Lanczos on the sparse pair; ARPACK needs n < m, so a
-    basis of every vertex falls back to the dense generalized solve.
+    For n < m the pencil is solved in standard form (Lehoucq, Sorensen &
+    Yang, ARPACK Users' Guide, 1998, sec. 3.2): with D = M^(-1/2), the
+    eigenpairs of A = D S D are (lambda, y = M^(1/2) phi).  Shift-invert
+    Lanczos runs on A with one symmetric minimum-degree LU of A - sigma I,
+    from the start vector M^(1/2) x0, which spans the Krylov spaces of the
+    generalized solve from x0; then phi = y / sqrt(masses).  ARPACK needs
+    n < m, so a basis of every vertex falls back to the dense generalized
+    solve.  Either way the pairs are sorted by ascending eigenvalue, each
+    column scaled to unit mass norm and signed so that its largest-magnitude
+    entry is positive.
     """
     m = stiffness.shape[0]
     masses = np.asarray(masses, dtype=np.float64)
     if stiffness.shape != (m, m) or masses.shape != (m,):
         raise ValueError("stiffness must be (m, m) and masses (m,)")
+    if not (masses > 0).all():
+        raise ValueError("vertex masses must be positive")
     if not 1 <= n <= m:
         raise ValueError(f"basis size {n} out of range [1, {m}]")
 
@@ -176,12 +186,24 @@ def eigenbasis(stiffness, masses, n=DEFAULT_BASIS_SIZE):
         # start vector makes the basis a deterministic function of the mesh
         sigma = -1.0 / float(masses.sum())
         start = np.random.default_rng(0).uniform(-1.0, 1.0, m)
+        root = np.sqrt(masses)
+        scale = sparse.diags(1.0 / root)
+        a = (scale @ sparse.csc_matrix(stiffness) @ scale).tocsc()
+        # A - sigma I is symmetric positive definite: no pivoting needed
+        lu = scipy.sparse.linalg.splu(
+            a - sigma * sparse.identity(m, format="csc"),
+            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True})
         try:
-            ev, phi = scipy.sparse.linalg.eigsh(
-                sparse.csc_matrix(stiffness), k=n, M=sparse.diags(masses),
-                sigma=sigma, which="LM", v0=start)
+            ev, y = scipy.sparse.linalg.eigsh(
+                a, k=n, sigma=sigma, which="LM", v0=root * start,
+                OPinv=scipy.sparse.linalg.LinearOperator(
+                    (m, m), matvec=lu.solve, dtype=np.float64))
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
+        # free the factor before the basis and its checks allocate
+        del lu, a
+        phi = y / root[:, None]
 
     order = np.argsort(ev)
     ev = ev[order]

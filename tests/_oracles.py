@@ -350,6 +350,18 @@ def _consecutive_runs(sorted_ints):
         yield run
 
 
+def geodesic_rows_undirected(mesh, sources, limit=np.inf):
+    """Edge-graph distance rows from scipy's undirected Dijkstra.
+
+    Same contract as ``mesh.geodesic_distance_matrix``; the undirected
+    route transposes the graph on every call and scans each edge from both
+    of its ends.
+    """
+    return csgraph.dijkstra(mesh.edge_graph, directed=False,
+                            indices=np.asarray(sources, dtype=np.int64),
+                            limit=limit)
+
+
 def correspondence_error_dense(point_map, truth, mesh_y, diameter=None):
     """Geodesic error from one full Dijkstra row per distinct true image.
 

@@ -120,6 +120,8 @@ class TestMechanics:
 
     @pytest.mark.parametrize("setting, message", [
         ({"max_outer": 0}, "max_outer must be positive"),
+        ({"max_outer": float("nan")}, "max_outer must be an integer, got nan"),
+        ({"max_outer": 2.5}, "max_outer must be an integer, got 2.5"),
     ])
     def test_loop_settings_rejected(self, rng, setting, message):
         A = rng.standard_normal((6, 4))

@@ -175,6 +175,21 @@ class TestGeodesics:
         for r, s in zip(rows, [0, 5, 11]):
             assert np.array_equal(r, geodesic_distance_matrix(ico, [s])[0])
 
+    @pytest.mark.parametrize("limit", [np.inf, 1.0], ids=["no-limit", "limit"])
+    @pytest.mark.parametrize("make", [
+        lambda: _meshes.creature(3),
+        lambda: _meshes.jittered(_meshes.creature_5k(), 0.005, 1),
+    ], ids=["creature3", "creature5k-twin1"])
+    def test_rows_match_undirected_oracle(self, make, limit):
+        # the edge graph is symmetric, so its directed search is the same
+        # graph; Dijkstra's least path sums do not depend on the scan order
+        mesh = make()
+        sources = mesh_module._spread_sample(mesh.num_vertices, 64)
+        got = geodesic_distance_matrix(mesh, sources, limit=limit)
+        want = _oracles.geodesic_rows_undirected(mesh, sources, limit=limit)
+        assert np.array_equal(got, want)
+        assert np.isinf(got).any() == np.isfinite(limit)
+
     def test_diameter_exact_when_all_sampled(self, ico):
         oracle = _meshes.floyd_warshall(ico).max()
         assert shape_diameter(ico, sample_count=ico.num_vertices) == pytest.approx(oracle)

@@ -152,6 +152,20 @@ class TestEigenbasis:
         resid = stiffness @ phi - (phi * masses[:, None]) * basis.eigenvalues
         assert np.abs(resid).max() < 1e-8 * basis.eigenvalues.max()
 
+    @pytest.mark.parametrize("n", [9, 16, 20])
+    def test_degenerate_sphere_clusters(self, n):
+        # eigenvalue clusters of multiplicity 3, 5 and 7; a start vector
+        # not mapped into the standard form loses a member of a cluster
+        stiffness, masses = cotangent_laplacian(_meshes.icosphere(3))
+        basis = eigenbasis(stiffness, masses, n)
+        ev = scipy.linalg.eigh(stiffness.toarray(), np.diag(masses),
+                               eigvals_only=True, subset_by_index=[0, n - 1])
+        assert basis.eigenvalues == pytest.approx(np.maximum(ev, 0.0),
+                                                  rel=1e-8, abs=1e-10)
+        phi = basis.functions
+        resid = stiffness @ phi - (phi * masses[:, None]) * basis.eigenvalues
+        assert np.abs(resid).max() < 1e-8 * basis.eigenvalues.max()
+
     def test_scaling_law(self):
         base = _meshes.blob(2)
         doubled = Mesh(2.0 * base.vertices, base.triangles)
@@ -164,6 +178,15 @@ class TestEigenbasis:
         with pytest.raises(ValueError, match="out of range"):
             eigenbasis(stiffness, masses, 0)
         with pytest.raises(ValueError, match="out of range"):
+            eigenbasis(stiffness, masses, 5)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_nonpositive_mass_rejected(self, ico, bad):
+        # the standard form divides by sqrt(masses)
+        stiffness, masses = cotangent_laplacian(ico)
+        masses = masses.copy()
+        masses[3] = bad
+        with pytest.raises(ValueError, match="vertex masses must be positive"):
             eigenbasis(stiffness, masses, 5)
 
     def test_accepts_dense_stiffness(self, tetra):
