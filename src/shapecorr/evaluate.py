@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .mesh import geodesic_distance_matrix, save_mesh, shape_diameter
+from .refine import _index_vector
 
 __all__ = [
     "ErrorCurve",
@@ -28,9 +29,10 @@ __all__ = [
 # correspondence_error: Dijkstra output per batch of sources.  Each batch's
 # search radius starts at 1.5 times its longest chord, or at the shortest
 # edge, and doubles until all pairs land.
-# On creature_5k jitter twins 1, 3 and 4 (medians of 9), 4 MiB blocks
-# evaluated as fast as 16 MiB ones (0.10-0.12 s), and 1 MiB and 512 KiB
-# blocks took 1.1-1.2x and 1.3-1.4x as long.
+# On creature_5k jitter twins 1-4 (medians of 9, three alternations), 4 MiB
+# blocks evaluated in 0.04-0.07 s; 1 MiB blocks took 1.04-1.34x as long,
+# and 16 MiB ones 1.0-1.3x (1.8-2.3x on twin 2), since a larger block
+# searches all its sources to its farthest pair's radius.
 _CHUNK_BYTES = 2**22
 
 
@@ -71,48 +73,64 @@ def _threshold_grid(top=0.25, step=0.01):
 DEFAULT_THRESHOLDS = _threshold_grid()
 
 
+def _indices(point_map, m):
+    """A point map's (or raw array's) target vertices, each in [0, m)."""
+    indices = _index_vector(getattr(point_map, "indices", point_map))
+    if indices.min() < 0 or indices.max() >= m:
+        raise ValueError(
+            f"point map index out of range for target mesh with {m} vertices")
+    return indices
+
+
 def correspondence_error(point_map, truth, mesh_y, diameter=None):
     """Normalized geodesic error of each source vertex.
 
     Entry i is the edge-graph distance on the target mesh between the
     predicted image ``point_map[i]`` and the true image ``truth[i]``,
-    divided by the target diameter.  Exact images cost nothing; Dijkstra
-    runs once from each distinct true image of a wrong vertex, in blocks
-    of sources whose distance rows fill at most ``_CHUNK_BYTES`` (4 MiB,
-    or one row when a row is larger; never O(m^2)), and stops at a radius
-    that doubles until every pair of the source is reached.  Sources are
-    ordered by the longest straight-line distance of their pairs, and a
-    block's radius starts at 1.5 times its longest one, or at the
-    shortest edge if that is longer: a wrong pair is two distinct
-    vertices, at least one edge apart on the graph however close they lie
-    in space.  A row does not depend on which block its source runs in or
-    at which radius, so the block size and the radii move memory and
-    time, never an error.
+    divided by the target diameter.  Indices must be integers (integral
+    floats pass), one per source vertex, each a target vertex.
+
+    Exact images cost nothing.  Graph distance is symmetric, so a wrong
+    pair (t, p) is searched from whichever end more wrong pairs share,
+    and from its true image t on a tie; Dijkstra runs once from each
+    distinct chosen end.  A pair searched from p sums its path's edges
+    from the other end, so its error may differ in the last bits (at most
+    about 1e-15 relative) from the sum taken from t.
+
+    Sources run in blocks whose distance rows fill at most
+    ``_CHUNK_BYTES`` (4 MiB, or one row when a row is larger; never
+    O(m^2)), and each search stops at a radius that doubles until every
+    pair of the source is reached.  Sources are ordered by the longest
+    straight-line distance of their pairs, and a block's radius starts at
+    1.5 times its longest one, or at the shortest edge if that is longer:
+    a wrong pair is two distinct vertices, at least one edge apart on the
+    graph however close they lie in space.  A row does not depend on
+    which block its source runs in or at which radius, so the block size
+    and the radii move memory and time, never an error.
     """
-    predicted = np.asarray(point_map.indices if hasattr(point_map, "indices")
-                           else point_map, dtype=np.int64)
-    expected = np.asarray(truth.indices if hasattr(truth, "indices")
-                          else truth, dtype=np.int64)
+    m = mesh_y.num_vertices
+    predicted, expected = _indices(point_map, m), _indices(truth, m)
     if predicted.shape != expected.shape:
         raise ValueError(
             f"map has {predicted.shape[0]} entries, truth has {expected.shape[0]}")
-    m = mesh_y.num_vertices
-    if (min(predicted.min(), expected.min()) < 0
-            or max(predicted.max(), expected.max()) >= m):
-        raise ValueError(f"vertex index out of range for target mesh with {m} vertices")
     if diameter is None:
         diameter = shape_diameter(mesh_y)
     if diameter <= 0:
         raise ValueError("diameter must be positive")
     errors = np.zeros(len(predicted))
     wrong = np.flatnonzero(predicted != expected)
-    sources, pair_source = np.unique(expected[wrong], return_inverse=True)
+    # graph distance is symmetric: search each pair from the end that more
+    # wrong pairs share, from its true image on a tie
+    t, p = expected[wrong], predicted[wrong]
+    shared = np.bincount(np.concatenate([t, p]))
+    true_side = shared[t] >= shared[p]
+    near, far = np.where(true_side, t, p), np.where(true_side, p, t)
+    sources, pair_source = np.unique(near, return_inverse=True)
     # a graph path is never shorter than the straight line, nor than one
     # edge, so a source needs a radius of at least its farthest pair's
     # chord and the shortest edge; blocks of sources with similar chords
     # start near the radius they need
-    chord = np.linalg.norm(mesh_y.vertices[predicted[wrong]]
-                           - mesh_y.vertices[expected[wrong]], axis=1)
+    chord = np.linalg.norm(mesh_y.vertices[far] - mesh_y.vertices[near], axis=1)
     reach = np.zeros(len(sources))
     np.maximum.at(reach, pair_source, chord)
     order = np.argsort(reach, kind="stable")
@@ -127,7 +145,7 @@ def correspondence_error(point_map, truth, mesh_y, diameter=None):
         while len(pairs):
             rows = geodesic_distance_matrix(mesh_y, sources[pending], limit=limit)
             row = np.searchsorted(pending, pair_source[pairs])
-            dist = rows[row, predicted[wrong[pairs]]]
+            dist = rows[row, far[pairs]]
             done = np.isfinite(dist) | (limit == np.inf)
             errors[wrong[pairs[done]]] = dist[done] / diameter
             pairs = pairs[~done]
@@ -170,14 +188,11 @@ def export_colored_ply(mesh_x, mesh_y, point_map, path_x, path_y):
     RGB; the source pulls each vertex's color from its mapped target
     vertex, so corresponding patches share colors.
     """
-    indices = np.asarray(point_map.indices if hasattr(point_map, "indices")
-                         else point_map, dtype=np.int64)
+    indices = _indices(point_map, mesh_y.num_vertices)
     if len(indices) != mesh_x.num_vertices:
         raise ValueError(
             f"point map covers {len(indices)} vertices, source mesh has "
             f"{mesh_x.num_vertices}")
-    if indices.min() < 0 or indices.max() >= mesh_y.num_vertices:
-        raise ValueError("point map index out of range for target mesh")
     v = mesh_y.vertices
     span = v.max(axis=0) - v.min(axis=0)
     span[span == 0] = 1.0  # flat axes map to a constant channel

@@ -36,6 +36,20 @@ __all__ = [
 ]
 
 
+def _index_vector(values):
+    """``values`` as a nonempty int64 vector; refuses entries that a cast
+    would truncate (0.5, 1.7) or make up (NaN, inf)."""
+    raw = np.asarray(values)
+    if raw.ndim != 1 or raw.size == 0:
+        raise ValueError(
+            f"point map must be a nonempty 1-d array, got shape {raw.shape}")
+    if raw.dtype.kind not in "iu" and not (
+            raw.dtype.kind == "f" and np.isfinite(raw).all()
+            and (np.trunc(raw) == raw).all()):
+        raise ValueError("point map indices must be integers")
+    return np.ascontiguousarray(raw, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class PointMap:
     """Dense vertex correspondence: entry i is the target vertex of source i."""
@@ -43,10 +57,8 @@ class PointMap:
     indices: np.ndarray
 
     def __post_init__(self):
-        indices = np.ascontiguousarray(self.indices, dtype=np.int64)
+        indices = _index_vector(self.indices)
         object.__setattr__(self, "indices", indices)
-        if indices.ndim != 1 or len(indices) == 0:
-            raise ValueError("indices must be a nonempty 1-d array")
         if indices.min() < 0:
             raise ValueError("point map indices must be nonnegative")
         indices.setflags(write=False)

@@ -363,10 +363,12 @@ def geodesic_rows_undirected(mesh, sources, limit=np.inf):
 
 
 def correspondence_error_dense(point_map, truth, mesh_y, diameter=None):
-    """Geodesic error from one full Dijkstra row per distinct true image.
+    """Geodesic error from one full Dijkstra row per distinct searched end.
 
-    Same contract as ``evaluate.correspondence_error``; holds a dense
-    (distinct images x m) distance matrix.
+    Same contract as ``evaluate.correspondence_error``, side rule
+    included: each pair (t, p) reads the row of whichever end more wrong
+    pairs share, of t on a tie.  Holds a dense (distinct ends x m)
+    distance matrix.
     """
     from shapecorr.mesh import geodesic_distance_matrix, shape_diameter
 
@@ -376,9 +378,15 @@ def correspondence_error_dense(point_map, truth, mesh_y, diameter=None):
                           else truth, dtype=np.int64)
     if diameter is None:
         diameter = shape_diameter(mesh_y)
-    sources, inverse = np.unique(expected, return_inverse=True)
+    wrong = predicted != expected
+    shared = np.bincount(np.concatenate([expected[wrong], predicted[wrong]]),
+                         minlength=mesh_y.num_vertices)
+    true_side = shared[expected] >= shared[predicted]
+    near = np.where(true_side, expected, predicted)
+    far = np.where(true_side, predicted, expected)
+    sources, inverse = np.unique(near, return_inverse=True)
     distances = geodesic_distance_matrix(mesh_y, sources)
-    return distances[inverse, predicted] / diameter
+    return distances[inverse, far] / diameter
 
 
 def connected_flags_per_region(regions, mesh):

@@ -79,6 +79,24 @@ class TestCorrespondenceError:
             with pytest.raises(ValueError, match="out of range"):
                 correspondence_error(*args, mesh)
 
+    @pytest.mark.parametrize("bad, message", [
+        ([0.5, 1.7], "must be integers"),
+        ([0.0, np.nan], "must be integers"),
+        ([0.0, np.inf], "must be integers"),
+        ([], r"nonempty 1-d array, got shape \(0,\)"),
+        ([[0, 1]], r"nonempty 1-d array, got shape \(1, 2\)"),
+    ], ids=["fraction", "nan", "inf", "empty", "2-d"])
+    def test_malformed_map_rejected(self, ico, bad, message):
+        # a cast would truncate [0.5, 1.7] to the truth [0, 1] and score 0
+        for args in ((bad, [0, 1]), ([0, 1], bad)):
+            with pytest.raises(ValueError, match=message):
+                correspondence_error(*args, ico, 1.0)
+
+    def test_integral_floats_accepted(self, ico):
+        got = correspondence_error(np.array([0.0, 5.0]), [0, 1], ico, 1.0)
+        assert np.array_equal(got, correspondence_error([0, 5], [0, 1], ico, 1.0))
+        assert got[1] > 0
+
 
 @pytest.fixture(scope="module")
 def jitter_pair(creature4_basis, creature4_jitter_match):
@@ -117,6 +135,45 @@ class TestMatchesDenseOracle:
         true_diameter = shape_diameter(twin)
         scale = true_diameter if diameter is None else diameter
         assert got.max() * scale > true_diameter / 2  # far past the first radius
+
+    def test_errors_are_one_directed_distance(self, jitter_pair, rng):
+        # a quarter of the images go to 40 hubs, so those pairs are searched
+        # from the hub and sum their paths from the other end: bit for bit
+        # one of the two directed distances, within rounding of the true one
+        twin, predicted = jitter_pair
+        m = twin.num_vertices
+        predicted = predicted.copy()
+        scrambled = rng.choice(m, size=m // 4, replace=False)
+        predicted[scrambled] = rng.integers(0, 40, size=len(scrambled))
+        truth = np.arange(m)
+        wrong = np.flatnonzero(predicted != truth)
+        got = correspondence_error(predicted, truth, twin, 1.0)[wrong]
+        from_true = _directed(twin, truth[wrong], predicted[wrong])
+        from_predicted = _directed(twin, predicted[wrong], truth[wrong])
+        assert ((got == from_true) | (got == from_predicted)).all()
+        assert (np.abs(got - from_true) <= 2e-15 * from_true).all()
+        assert (from_true != from_predicted).any()  # the two ends do differ
+
+    def test_searches_start_at_shared_hubs(self, jitter_pair, monkeypatch):
+        # every wrong vertex lands on one of 5 hubs: Dijkstra runs from the
+        # hubs only, not from each of the thousands of true images
+        twin, _ = jitter_pair
+        m = twin.num_vertices
+        hubs = np.array([3, 500, 1100, 1700, 2400])
+        truth = np.arange(m)
+        predicted = hubs[truth % len(hubs)]
+        predicted[hubs] = hubs
+        started = []
+        search = evaluate.geodesic_distance_matrix
+        monkeypatch.setattr(
+            evaluate, "geodesic_distance_matrix",
+            lambda mesh, sources, limit: started.extend(sources) or search(
+                mesh, sources, limit=limit))
+        got = correspondence_error(predicted, truth, twin)
+        assert set(started) <= set(hubs.tolist())
+        assert np.array_equal(
+            got, _oracles.correspondence_error_dense(predicted, truth, twin))
+        assert (got[predicted != truth] > 0).all()
 
     def test_small_blocks_start_at_their_chords(self, jitter_pair, rng,
                                                  monkeypatch):
@@ -185,6 +242,12 @@ class TestMatchesDenseOracle:
             tracemalloc.stop()
         assert (errors > 0).all() and np.isfinite(errors).all()
         assert peak < 16 * 2**20
+
+
+def _directed(mesh, starts, ends):
+    """Distance from each start to its end, read off full Dijkstra rows."""
+    sources, row = np.unique(starts, return_inverse=True)
+    return evaluate.geodesic_distance_matrix(mesh, sources)[row, ends]
 
 
 class TestErrorCurveFunction:
@@ -274,6 +337,12 @@ class TestExport:
         with pytest.raises(ValueError, match="out of range"):
             export_colored_ply(tetra, tetra, PointMap(np.array([0, 1, 2, 9])),
                                tmp_path / "x.ply", tmp_path / "y.ply")
+
+    def test_fractional_index_rejected(self, tetra, tmp_path):
+        with pytest.raises(ValueError, match="must be integers"):
+            export_colored_ply(tetra, tetra, np.array([0.0, 1.0, 2.5, 3.0]),
+                               tmp_path / "x.ply", tmp_path / "y.ply")
+        assert not (tmp_path / "x.ply").exists()
 
     def test_negative_index_rejected(self, tmp_path):
         # a raw array skips PointMap's check; -1 would take the last color

@@ -48,6 +48,23 @@ class TestPointMap:
         with pytest.raises(ValueError, match="nonnegative"):
             PointMap(np.array([0, -1]))
 
+    @pytest.mark.parametrize("bad", [[0.5, 1.7], [0.0, np.nan], [1.0, -np.inf]],
+                             ids=["fraction", "nan", "inf"])
+    def test_non_integers_rejected(self, bad):
+        # a cast would silently truncate [0.5, 1.7] to [0, 1]
+        with pytest.raises(ValueError, match="point map indices must be integers"):
+            PointMap(np.array(bad))
+
+    def test_malformed_shapes_named(self):
+        with pytest.raises(ValueError, match=r"got shape \(0,\)"):
+            PointMap(np.array([]))
+        with pytest.raises(ValueError, match=r"got shape \(2, 2\)"):
+            PointMap(np.zeros((2, 2), dtype=int))
+
+    def test_integral_floats_accepted(self):
+        pm = PointMap(np.array([2.0, 0.0, 1.0]))
+        assert pm.indices.dtype == np.int64 and pm.indices.tolist() == [2, 0, 1]
+
 
 class TestNearestRows:
     def test_matches_linear_scan(self, rng):
