@@ -131,7 +131,7 @@ def solve_assignment(profit, mask=None):
     if mask.shape != E.shape:
         raise ValueError(f"mask shape {mask.shape} != profit shape {E.shape}")
     top = float(np.abs(E).max(initial=0.0))
-    i_idx, j_idx = np.nonzero(mask)  # row-major: already in CSR order
+    i_idx, j_idx = np.nonzero(mask)
     cost = -E[i_idx, j_idx] + (1e-12 * top) * (i_idx * r + j_idx)
     # every complete assignment has q edges, so one common shift keeps the
     # optimum, and weights >= 1 keep sparse storage from dropping a zero.
@@ -143,9 +143,7 @@ def solve_assignment(profit, mask=None):
     cost -= cost.min(initial=0.0)
     unit = np.ldexp(1.0, np.frexp(cost.max(initial=0.0))[1] - 44)
     weights = np.rint(cost / unit) + 1.0
-    indptr = np.zeros(q + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
-    graph = sparse.csr_matrix((weights, j_idx, indptr), shape=(q, r))
+    graph = sparse.csr_matrix((weights, (i_idx, j_idx)), shape=(q, r))
     try:
         rows, cols = csgraph.min_weight_full_bipartite_matching(graph)
     except ValueError as exc:  # scipy: "no full matching exists"

@@ -24,8 +24,8 @@ import numpy as np
 from .evaluate import (_threshold_grid, correspondence_error, error_curve,
                        export_colored_ply, save_error_curve)
 from .matcher import match, write_match_report
-from .mesh import (MeshParseError, MeshValidationError, _Lines, load_mesh,
-                   shape_diameter)
+from .mesh import (_FLOAT_FMT, MeshParseError, MeshValidationError, _Lines,
+                   load_mesh, shape_diameter)
 from .pursuit import SolverOptions, default_weights
 from .refine import load_point_map, refine_icp, save_point_map
 from .regions import (DetectorParams, detect_stable_regions, load_regions,
@@ -34,9 +34,6 @@ from .spectral import (DEFAULT_BASIS_SIZE, cotangent_laplacian, eigenbasis,
                        load_basis, save_basis)
 
 __all__ = ["PipelineConfig", "PipelineError", "load_config", "run_pipeline", "main"]
-
-_FMAP_FMT = "%.17g"
-
 
 class PipelineError(Exception):
     """A stage failure carrying the stage name and the process exit code."""
@@ -183,7 +180,7 @@ def _load_basis_mesh(config, path):
 
 
 def save_functional_map(functional_map, path):
-    np.savetxt(path, np.asarray(functional_map), fmt=_FMAP_FMT)
+    np.savetxt(path, np.asarray(functional_map), fmt=_FLOAT_FMT)
 
 
 def load_functional_map(path):
@@ -216,6 +213,15 @@ def _guard(stage, reading=False):
         raise PipelineError(stage, str(exc), exit_code=2 if reading else 1) from exc
 
 
+@contextlib.contextmanager
+def _stage(stage, timings, label):
+    """``_guard(stage)`` that stores the block's wall time in ``timings[label]``."""
+    start = time.perf_counter()
+    with _guard(stage):
+        yield
+    timings[label] = time.perf_counter() - start
+
+
 def _mesh_basis(mesh, cache_path, size):
     """Basis from cache when available, else computed (and cached if asked)."""
     if cache_path and Path(cache_path).exists():
@@ -225,6 +231,9 @@ def _mesh_basis(mesh, cache_path, size):
                 raise ValueError(
                     f"{cache_path}: cache has {basis.num_vertices} vertices, "
                     f"mesh has {mesh.num_vertices}")
+            if not np.array_equal(basis.masses, mesh.vertex_areas):
+                raise ValueError(f"{cache_path}: cache was solved on another mesh "
+                                 "(its vertex masses differ)")
             if basis.size < size:
                 raise ValueError(
                     f"{cache_path}: cache holds {basis.size} functions, need {size}")
@@ -312,24 +321,20 @@ def run_pipeline(config, until="end"):
         with _guard("evaluate", reading=True):
             truth = load_point_map(config.truth, num_targets=mesh_y.num_vertices)
 
-    t0 = time.perf_counter()
-    with _guard("basis"):
+    timings = {}
+    with _stage("basis", timings, "Basis"):
         basis_x = _mesh_basis(mesh_x, config.basis_cache_x, config.basis_size)
         basis_y = _mesh_basis(mesh_y, config.basis_cache_y, config.basis_size)
-    t_basis = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    with _guard("regions"):
+    with _stage("regions", timings, "Regions"):
         if config.region_source == "detect":
             params = _detector_params(config)
             regions_x = detect_stable_regions(mesh_x, basis_x, params)
             regions_y = detect_stable_regions(mesh_y, basis_y, params)
         save_regions(regions_x, out_dir / "regions_x.txt")
         save_regions(regions_y, out_dir / "regions_y.txt")
-    t_regions = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    with _guard("match"):
+    with _stage("match", timings, "Opt."):
         coeffs_x = region_coefficients(regions_x, basis_x)
         coeffs_y = region_coefficients(regions_y, basis_y)
         weights = default_weights(config.basis_size, config.weight_p)
@@ -342,25 +347,17 @@ def run_pipeline(config, until="end"):
             raise ValueError(f"degenerate map (C = 0) at lambda {result.lam:.6g}, "
                              f"mu {result.mu:.6g}; see match_report.txt")
         save_functional_map(result.functional_map, out_dir / "functional_map.txt")
-    t_match = time.perf_counter() - t0
 
-    t_refine = 0.0
     mean_error = None
     if until == "end":
-        t0 = time.perf_counter()
-        refined = _refine(config, basis_x, basis_y, result.functional_map)
-        t_refine = time.perf_counter() - t0
+        with _stage("refine", timings, "Ref."):
+            refined = _refine(config, basis_x, basis_y, result.functional_map)
         if config.truth:
             mean_error = float(_evaluate(config, refined.point_map, mesh_y, truth).mean())
         _export(config, mesh_x, mesh_y, refined.point_map)
 
-    timings = {
-        "Basis": t_basis,
-        "Regions": t_regions,
-        "Opt.": t_match,
-        "Ref.": t_refine,
-        "Tot.": time.perf_counter() - t_total,
-    }
+    timings.setdefault("Ref.", 0.0)  # ``until="match"`` stops before refinement
+    timings["Tot."] = time.perf_counter() - t_total
     (out_dir / "timings.txt").write_text(
         "".join(f"{name:<8s} {seconds:8.2f}\n" for name, seconds in timings.items()))
 
@@ -411,7 +408,7 @@ def _cmd_detect(args, config):
 
 def _cmd_pipeline(args, config):
     """``run`` and ``match``; region files switch the region source to files."""
-    if args.regions_x or args.regions_y:
+    if config.regions_x or config.regions_y:
         config.region_source = "files"
     result = run_pipeline(config, until="end" if args.command == "run" else "match")
     print(f"artifacts in {result['out_dir']}")

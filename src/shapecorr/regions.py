@@ -379,8 +379,6 @@ def load_regions(path, mesh):
             indices = np.unique(np.array(line.split(), dtype=np.int64))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad vertex index: {exc}") from None
-        if len(indices) == 0:
-            raise ValueError(f"{path}:{lineno}: region {len(regions)} is empty")
         if indices[0] < 0 or indices[-1] >= mesh.num_vertices:
             bad = indices[0] if indices[0] < 0 else indices[-1]
             raise ValueError(

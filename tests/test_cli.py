@@ -483,11 +483,16 @@ class TestMain:
     @pytest.mark.parametrize("cache, message", [
         ("other", "cache has 12 vertices, mesh has 162"),
         ("cut", "cache holds 12 functions, need 20"),
+        ("twin", "cache was solved on another mesh (its vertex masses differ)"),
     ])
     def test_basis_cache_mismatch(self, env, ran, tmp_path, capsys, cache, message):
-        # a source cache written for another mesh, or cut below basis_size
+        # a source cache written for another mesh, cut below basis_size, or
+        # solved on a jittered twin with the same vertex count
         if cache == "other":
             basis = eigenbasis(*cotangent_laplacian(_meshes.icosahedron()), 12)
+        elif cache == "twin":
+            twin = _meshes.jittered(env["mesh"], 0.005, 3)
+            basis = eigenbasis(*cotangent_laplacian(twin), 20)
         else:
             bx = load_basis(env["tmp"] / "bx.bin")
             basis = SpectralBasis(bx.functions[:, :12], bx.eigenvalues[:12], bx.masses)
@@ -529,6 +534,19 @@ class TestMain:
         code = main(["run", "--config", str(env["tmp"] / "config.cfg"),
                      "--out-dir", str(tmp_path / "out"),
                      "--regions-x", str(regions), "--regions-y", str(regions)])
+        assert code == 0
+        for name in ("regions_x.txt", "regions_y.txt"):
+            assert (tmp_path / "out" / name).read_text() == regions.read_text()
+
+    def test_run_with_region_files_from_the_config(self, env, ran, tmp_path):
+        # region files named in the config, with no region_source, are used
+        lines = (env["tmp"] / "out" / "regions_x.txt").read_text().splitlines()
+        regions = tmp_path / "regions.txt"
+        regions.write_text("\n".join(lines[:13]) + "\n")
+        config = tmp_path / "config.cfg"
+        config.write_text((env["tmp"] / "config.cfg").read_text()
+                          + f"regions_x = {regions}\nregions_y = {regions}\n")
+        code = main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")])
         assert code == 0
         for name in ("regions_x.txt", "regions_y.txt"):
             assert (tmp_path / "out" / name).read_text() == regions.read_text()

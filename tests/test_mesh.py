@@ -170,6 +170,11 @@ class TestGeodesics:
         with pytest.raises(ValueError, match="out of range"):
             geodesic_distance_matrix(tetra, [0, -1])
 
+    @pytest.mark.parametrize("sources", [[], [[0, 1]]], ids=["empty", "2-d"])
+    def test_sources_must_be_a_nonempty_vector(self, tetra, sources):
+        with pytest.raises(ValueError, match="nonempty 1-d index array"):
+            geodesic_distance_matrix(tetra, sources)
+
     def test_matrix_rows_match_fields(self, ico):
         rows = geodesic_distance_matrix(ico, [0, 5, 11])
         for r, s in zip(rows, [0, 5, 11]):

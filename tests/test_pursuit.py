@@ -273,6 +273,17 @@ class TestSolver:
         with pytest.raises(ValueError, match="initial map"):
             solve_robust_sparse_coding(A, B, initial_map=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: prox_l21_rows(np.ones((2, 3)), -0.5), "step must be nonnegative"),
+        (lambda: solve_robust_sparse_coding(np.ones(4), np.ones((4, 3))),
+         "dictionary and target must be 2-d"),
+        (lambda: solve_robust_sparse_coding(np.ones((4, 3)), np.ones(4)),
+         "dictionary and target must be 2-d"),
+    ], ids=["prox-negative-step", "1-d-dictionary", "1-d-target"])
+    def test_input_checks(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_options_validation(self):
         for lam in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="lam must be finite and nonnegative"):

@@ -81,6 +81,13 @@ class TestRegionSet:
             RegionSet(members=np.array([[True, False]]),
                       area_fractions=np.array([1.5]))
 
+    @pytest.mark.parametrize("members", [
+        np.array([True, False]), np.ones((1, 1, 2), dtype=bool),
+    ], ids=["1-d", "3-d"])
+    def test_members_must_be_2d(self, members):
+        with pytest.raises(ValueError, match=r"members must be a \(q, m\) boolean array"):
+            RegionSet(members=members, area_fractions=np.array([0.5]))
+
     def test_accessors(self):
         rs = RegionSet(members=np.array([[True, False, True], [False, True, False]]),
                        area_fractions=np.array([0.6, 0.4]))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 import _meshes
 import _oracles
@@ -189,6 +190,25 @@ class TestEigenbasis:
         with pytest.raises(ValueError, match="vertex masses must be positive"):
             eigenbasis(stiffness, masses, 5)
 
+    @pytest.mark.parametrize("fault, error, message", [
+        ("stiffness", ValueError, r"stiffness must be \(m, m\) and masses \(m,\)"),
+        ("masses", ValueError, r"stiffness must be \(m, m\) and masses \(m,\)"),
+        ("arpack", RuntimeError, "eigensolver did not converge: ARPACK error -1"),
+    ], ids=["stiffness", "masses", "arpack"])
+    def test_input_checks_and_stalls(self, ico, monkeypatch, fault, error, message):
+        stiffness, masses = cotangent_laplacian(ico)
+        if fault == "stiffness":
+            stiffness = stiffness[:, :-1]
+        elif fault == "masses":
+            masses = masses[:-1]
+        else:
+            def stalled(*args, **kwargs):
+                raise scipy.sparse.linalg.ArpackNoConvergence(
+                    "ARPACK error -1: No convergence", np.zeros(0), np.zeros((12, 0)))
+            monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+        with pytest.raises(error, match=message):
+            eigenbasis(stiffness, masses, 5)
+
     def test_accepts_dense_stiffness(self, tetra):
         stiffness, masses = cotangent_laplacian(tetra)
         a = eigenbasis(stiffness, masses, 3)
@@ -227,6 +247,15 @@ class TestBasisValidation:
                           masses=masses)
         with pytest.raises(ValueError, match="not mass-orthonormal"):
             SpectralBasis(functions=phi * 1.1, eigenvalues=ev, masses=masses)
+
+    @pytest.mark.parametrize("cut, message", [
+        (lambda phi, ev, masses: (phi[0], ev, masses), "functions must be a 2-d array"),
+        (lambda phi, ev, masses: (phi, ev, masses[:1]), r"expected 2 vertex masses, got \(1,\)"),
+    ], ids=["1-d-functions", "short-masses"])
+    def test_rejects_bad_shapes(self, cut, message):
+        phi, ev, masses = cut(*self.make_args())
+        with pytest.raises(ValueError, match=message):
+            SpectralBasis(functions=phi, eigenvalues=ev, masses=masses)
 
 
 class TestTransport:
