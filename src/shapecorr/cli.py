@@ -138,6 +138,12 @@ def _solver_options(config):
     return SolverOptions(**{key: getattr(config, key) for key in _SOLVER_KEYS})
 
 
+def _regions_from_files(config):
+    """Whether regions are read from files: ``region_source = files`` or
+    either file named."""
+    return config.region_source == "files" or bool(config.regions_x or config.regions_y)
+
+
 def _check(config, keys):
     """Raise ValueError for the first rule the values of ``keys`` break: each
     key's own, then DetectorParams and SolverOptions, then those across keys."""
@@ -149,7 +155,7 @@ def _check(config, keys):
             raise ValueError(f"{key} {_RULES[key][1]}")
     if not set(keys).isdisjoint(_DETECTOR_KEYS):
         params = _detector_params(config)
-        if config.region_source == "detect" and config.basis_size <= params.num_functions:
+        if not _regions_from_files(config) and config.basis_size <= params.num_functions:
             raise ValueError(f"num_functions {params.num_functions} needs basis_size "
                              f"{params.num_functions + 1} or more, got {config.basis_size}")
     if not set(keys).isdisjoint(_SOLVER_KEYS):
@@ -159,7 +165,7 @@ def _check(config, keys):
             default_weights(config.basis_size, config.weight_p)
         except ValueError as exc:
             raise ValueError(f"weight_p {config.weight_p}: {exc}") from None
-    if "region_source" in keys and config.region_source == "files" and not (
+    if "region_source" in keys and _regions_from_files(config) and not (
             config.regions_x and config.regions_y):
         raise ValueError("region_source=files needs regions_x and regions_y")
     if not set(keys).isdisjoint(("threshold_max", "threshold_step")):
@@ -313,7 +319,7 @@ def run_pipeline(config, until="end"):
                 raise FileNotFoundError(f"mesh file not found: {path}")
         mesh_x = _load_basis_mesh(config, config.mesh_x)
         mesh_y = _load_basis_mesh(config, config.mesh_y)
-    if config.region_source == "files":
+    if _regions_from_files(config):
         with _guard("regions", reading=True):
             regions_x = load_regions(config.regions_x, mesh_x)
             regions_y = load_regions(config.regions_y, mesh_y)
@@ -327,7 +333,7 @@ def run_pipeline(config, until="end"):
         basis_y = _mesh_basis(mesh_y, config.basis_cache_y, config.basis_size)
 
     with _stage("regions", timings, "Regions"):
-        if config.region_source == "detect":
+        if not _regions_from_files(config):
             params = _detector_params(config)
             regions_x = detect_stable_regions(mesh_x, basis_x, params)
             regions_y = detect_stable_regions(mesh_y, basis_y, params)
@@ -407,9 +413,7 @@ def _cmd_detect(args, config):
 
 
 def _cmd_pipeline(args, config):
-    """``run`` and ``match``; region files switch the region source to files."""
-    if config.regions_x or config.regions_y:
-        config.region_source = "files"
+    """``run`` and ``match``."""
     result = run_pipeline(config, until="end" if args.command == "run" else "match")
     print(f"artifacts in {result['out_dir']}")
     print((result["out_dir"] / "timings.txt").read_text(), end="")

@@ -115,8 +115,8 @@ def correspondence_error(point_map, truth, mesh_y, diameter=None):
             f"map has {predicted.shape[0]} entries, truth has {expected.shape[0]}")
     if diameter is None:
         diameter = shape_diameter(mesh_y)
-    if diameter <= 0:
-        raise ValueError("diameter must be positive")
+    if not 0 < diameter < np.inf:
+        raise ValueError(f"diameter must be positive and finite, got {diameter}")
     errors = np.zeros(len(predicted))
     wrong = np.flatnonzero(predicted != expected)
     # graph distance is symmetric: search each pair from the end that more
@@ -164,8 +164,8 @@ def error_curve(errors, thresholds=None):
     errors = np.asarray(errors, dtype=np.float64)
     if errors.ndim != 1 or len(errors) == 0:
         raise ValueError("errors must be a nonempty 1-d array")
-    if (errors < 0).any():
-        raise ValueError("errors must be nonnegative")
+    if not ((errors >= 0) & (errors < np.inf)).all():
+        raise ValueError("errors must be finite and nonnegative")
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLDS
     thresholds = np.asarray(thresholds, dtype=np.float64)

@@ -21,6 +21,7 @@ text written match, bit for bit, those of the line-wise routes kept in
 
 from __future__ import annotations
 
+import numbers
 import re
 from functools import cached_property
 from pathlib import Path
@@ -201,6 +202,8 @@ def shape_diameter(mesh, sample_count=32):
     counts give a deterministic lower bound that is adequate for
     normalizing correspondence errors.
     """
+    if not isinstance(sample_count, numbers.Integral):
+        raise ValueError(f"sample_count must be an integer, got {sample_count!r}")
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
     sources = _spread_sample(mesh.num_vertices, sample_count)

@@ -169,11 +169,11 @@ def solve_robust_sparse_coding(dictionary, target, weights=None, options=None,
     """Minimize the robust sparse-coding objective for fixed correspondence.
 
     Starts from C = 0 unless a warm-start map is supplied.  Each iteration
-    takes one gradient step on the Huber term at the current (or
-    extrapolated) point and applies the weighted soft threshold; trace
-    entries and the returned outliers use the best O for each C.  Stops
-    when the relative objective change falls below ``options.tol`` or
-    after ``options.max_iter`` iterations.
+    takes one gradient step on the Huber term at the extrapolated point
+    (the current one without acceleration) and applies the weighted soft
+    threshold; trace entries and the returned outliers use the best O for
+    each C.  Stops when the relative objective change falls below
+    ``options.tol`` or after ``options.max_iter`` iterations.
 
     Without acceleration every step is guaranteed not to increase the
     objective; with acceleration the trace simply records the raw values.
@@ -207,23 +207,23 @@ def solve_robust_sparse_coding(dictionary, target, weights=None, options=None,
     alpha = step_size(A)
     residual = Bp - A @ C
     trace = [reduced_objective(C, residual)]
-    extr_C, extr_residual = C, residual  # extrapolated point when accelerated
+    extr_C, extr_residual = C, residual  # extrapolated point
     momentum = 1.0
     converged = False
     for iterations in range(1, options.max_iter + 1):
-        base_C, base_residual = (extr_C, extr_residual) if options.accelerated else (C, residual)
         # min(1, mu / ||r_i||) projects residual rows onto the mu-ball; the
         # floor 1.0 keeps zero rows finite when mu = 0 (all rows outliers)
-        scale = mu / np.maximum(np.linalg.norm(base_residual, axis=1), mu or 1.0)
-        step = base_C + (A.T @ (base_residual * scale[:, None])) / alpha
+        scale = mu / np.maximum(np.linalg.norm(extr_residual, axis=1), mu or 1.0)
+        step = extr_C + (A.T @ (extr_residual * scale[:, None])) / alpha
         new_C = prox_weighted_l1(step, weights, lam / alpha)
         new_residual = Bp - A @ new_C
-        if options.accelerated:
-            momentum_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
-            beta = (momentum - 1.0) / momentum_next
-            extr_C = new_C + beta * (new_C - C)
-            extr_residual = new_residual + beta * (new_residual - residual)
-            momentum = momentum_next
+        # momentum stays 1 without acceleration, so beta is 0
+        momentum_next = (0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
+                         if options.accelerated else 1.0)
+        beta = (momentum - 1.0) / momentum_next
+        extr_C = new_C + beta * (new_C - C)
+        extr_residual = new_residual + beta * (new_residual - residual)
+        momentum = momentum_next
         C, residual = new_C, new_residual
         value = reduced_objective(C, residual)
         if not np.isfinite(value):

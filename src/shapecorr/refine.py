@@ -17,6 +17,7 @@ decides the rest over the few rows inside the margin.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -209,6 +210,8 @@ def refine_icp(basis_x, basis_y, initial_map, max_iters=30):
     n = basis_x.size
     if C.shape != (n, n):
         raise ValueError(f"initial map must be ({n}, {n}), got {C.shape}")
+    if not isinstance(max_iters, numbers.Integral):
+        raise ValueError(f"max_iters must be an integer, got {max_iters!r}")
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
     phi = basis_x.functions

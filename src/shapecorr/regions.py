@@ -14,10 +14,10 @@ number of levels sets the threshold grid only.
 A region's area is the exact sum of its vertex areas, rounded once to
 the nearest float, wherever it is computed: the vertex areas are integer
 multiples of one power-of-two unit, so the sum does not depend on the
-order of its terms.  Every component of a chain is a prefix of the
-chain's vertex order, and its area an integer prefix sum in that order.
-Candidates stay such slices until the regions kept by the overlap dedup
-get their member rows.
+order of its terms.  The sweep yields one chain of components at a
+time, each a prefix of the chain's vertex order, its area an integer
+prefix sum in that order.  Candidates stay such slices of the chains
+put end to end until those the overlap dedup keeps get member rows.
 
 Regions are plain vertex indicator rows plus their relative areas; no
 mesh reference is kept, so a RegionSet stays valid as long as vertex
@@ -171,15 +171,16 @@ def detect_stable_regions(mesh, basis, params=None):
             f"has {basis.size - 1}")
 
     units = _area_units(mesh.vertex_areas)
-    # every function's candidates are slices of its own vertex order; put
-    # the orders end to end, candidates in detection order
-    parts = [_stable_components(mesh, basis.functions[:, fn], params, units)
-             for fn in range(1, params.num_functions + 1)]
-    offsets = np.cumsum([0] + [len(part[0]) for part in parts])
-    order = np.concatenate([part[0] for part in parts])
-    starts = np.concatenate([part[1] + offset for part, offset in zip(parts, offsets)])
-    sizes = np.concatenate([part[2] for part in parts])
-    areas = np.concatenate([part[3] for part in parts])
+    # every candidate is a prefix of its chain's vertex order; put the
+    # chains end to end, candidates in detection order
+    chains = [chain for fn in range(1, params.num_functions + 1)
+              for chain in _stable_components(mesh, basis.functions[:, fn], params, units)]
+    if not chains:
+        raise ValueError("no regions detected; relax the area or stability limits")
+    order, sizes, areas = (np.concatenate(part) for part in zip(*chains))
+    lengths = [len(chain_order) for chain_order, _, _ in chains]
+    starts = np.repeat(np.cumsum(lengths) - lengths,
+                       [len(chain_sizes) for _, chain_sizes, _ in chains])
 
     # greedy Jaccard dedup, larger regions take precedence
     ranked = np.argsort(-areas, kind="stable")
@@ -247,15 +248,16 @@ def _greedy_dedup(m, order, starts, sizes, overlap):
 
 
 def _stable_components(mesh, phi, params, units):
-    """Area-stable superlevel components of phi, as slices of one vertex order.
+    """Area-stable superlevel components of phi, one component chain at a time.
 
-    Returns ``(order, starts, sizes, areas)``: component k is the set of
-    ``sizes[k]`` vertices at ``order[starts[k]:]``, its area ``areas[k]``.
-    A component chain is identified by its peak vertex (largest phi,
-    smallest index on ties): superlevel components only grow as the
-    threshold drops, and when two merge the joint peak is the higher one,
-    so each local maximum traces one chain over a contiguous run of
-    levels.  Each stable component comes once, in (peak, level) order.
+    Yields ``(order, sizes, areas)`` for each chain with a stable
+    component: component k is the first ``sizes[k]`` vertices of
+    ``order``, its area ``areas[k]``.  A component chain is identified by
+    its peak vertex (largest phi, smallest index on ties): superlevel
+    components only grow as the threshold drops, and when two merge the
+    joint peak is the higher one, so each local maximum traces one chain
+    over a contiguous run of levels.  Chains come in peak order, each
+    chain's stable components once each, in level order.
     ``units`` are the vertex areas from :func:`_area_units`; a
     component's area is their exact sum over its members, rounded once.
 
@@ -268,7 +270,7 @@ def _stable_components(mesh, phi, params, units):
     """
     lo, hi = float(phi.min()), float(phi.max())
     if hi - lo <= 1e-12 * max(abs(hi), abs(lo), 1.0):
-        return _no_components()  # constant function has no level-set structure
+        return  # constant function has no level-set structure
     levels, w, tol = params.levels, params.stability_window, params.stability_tol
     thresholds = np.linspace(hi, lo, levels)
     m = len(phi)
@@ -299,8 +301,6 @@ def _stable_components(mesh, phi, params, units):
     peaks = np.sort(by_rank[first[opens[labels]]])
 
     numerators, denominator = units
-    orders, starts, sizes, areas = [], [], [], []
-    offset = 0
     for peak in peaks.tolist():
         reached, parent = csgraph.breadth_first_order(
             tree, peak, directed=True, return_predecessors=True)
@@ -334,20 +334,7 @@ def _stable_components(mesh, phi, params, units):
         stable = area[w - 1:] - area[:count] < tol * area[w // 2:w // 2 + count]
         picked = np.unique(at_level[w // 2 + np.flatnonzero(stable)])
         if len(picked):
-            orders.append(members[:grown[picked[-1]]])
-            starts.append(np.full(len(picked), offset))
-            sizes.append(grown[picked])
-            areas.append(chain_area[picked])
-            offset += len(orders[-1])
-    if not orders:
-        return _no_components()
-    return (np.concatenate(orders), np.concatenate(starts), np.concatenate(sizes),
-            np.concatenate(areas))
-
-
-def _no_components():
-    empty = np.zeros(0, dtype=np.int64)
-    return empty, empty, empty, np.zeros(0)
+            yield members[:grown[picked[-1]]], grown[picked], chain_area[picked]
 
 
 def region_coefficients(regions, basis):

@@ -230,10 +230,11 @@ def refine_icp_all_rows(basis_x, basis_y, initial_map, max_iters=30):
 def stable_components_levelwise(mesh, phi, params):
     """Stable superlevel components with the components rebuilt per level.
 
-    Yields (area, members) with ``members`` a bool row, in the detection
-    order of ``regions._stable_components``; areas are ``math.fsum`` of
-    the members' vertex areas.  May yield the same component more than
-    once (once per stable window through it).
+    Yields (area, members) with ``members`` a bool row, in the order of
+    the chains ``regions._stable_components`` yields (peak order) and of
+    the components within each chain (level order); areas are
+    ``math.fsum`` of the members' vertex areas.  May yield the same
+    component more than once (once per stable window through it).
     """
     lo, hi = float(phi.min()), float(phi.max())
     if hi - lo <= 1e-12 * max(abs(hi), abs(lo), 1.0):

@@ -249,6 +249,20 @@ class TestPipeline:
         assert result["mean_error"] is None
         assert result["timings"]["Ref."] == 0.0
 
+    def test_named_region_files_are_read(self, tmp_path):
+        # region files and no region_source, as ``shapecorr match`` reads them
+        mesh = _meshes.creature(3)
+        save_mesh(mesh, tmp_path / "x.off")
+        radius = 0.3 * shape_diameter(mesh)
+        balls = geodesic_distance_matrix(mesh, np.array([0, 150, 300, 450])) <= radius
+        save_regions(regions_from_members(balls, mesh), tmp_path / "rx.txt")
+        config = PipelineConfig(mesh_x=str(tmp_path / "x.off"), mesh_y=str(tmp_path / "x.off"),
+                                out_dir=str(tmp_path / "out"), regions_x=str(tmp_path / "rx.txt"),
+                                regions_y=str(tmp_path / "rx.txt"))
+        run_pipeline(config, until="match")
+        for name in ("regions_x.txt", "regions_y.txt"):
+            assert (tmp_path / "out" / name).read_text() == (tmp_path / "rx.txt").read_text()
+
     def test_unknown_stop_point(self, env):
         config = load_config(env["tmp"] / "config.cfg")
         with pytest.raises(ValueError, match="stop point"):

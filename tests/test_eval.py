@@ -66,8 +66,10 @@ class TestCorrespondenceError:
             correspondence_error(np.array([0, 1]), np.array([0]), tetra)
         with pytest.raises(ValueError, match="out of range"):
             correspondence_error(np.array([0, 9]), np.array([0, 1]), tetra)
-        with pytest.raises(ValueError, match="diameter must be positive"):
-            correspondence_error(np.array([0]), np.array([1]), tetra, diameter=0.0)
+        # an infinite diameter would score every wrong vertex 0, a NaN one NaN
+        for diameter in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="diameter must be positive"):
+                correspondence_error(np.array([0]), np.array([1]), tetra, diameter=diameter)
 
     def test_negative_index_rejected(self):
         # -1 would otherwise index the last vertex and score its distance
@@ -291,8 +293,10 @@ class TestErrorCurveFunction:
             error_curve(np.array([]))
         with pytest.raises(ValueError, match="nonempty"):
             error_curve(np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="nonnegative"):
-            error_curve(np.array([-0.1]))
+        # NaN passes a sign test and would count as a miss at every threshold
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                error_curve(np.array([0.1, bad]))
 
 
 class TestSaveCurve:

@@ -209,6 +209,8 @@ class TestGeodesics:
     def test_diameter_bad_count(self, tetra):
         with pytest.raises(ValueError, match="positive"):
             shape_diameter(tetra, sample_count=0)
+        with pytest.raises(ValueError, match="sample_count must be an integer"):
+            shape_diameter(tetra, sample_count=2.5)
 
 
 class TestFormats:

@@ -192,25 +192,22 @@ class TestDetector:
             detect_stable_regions(tetra, creature4_basis)
 
 
-def _rows(m, candidates):
-    """(area, members) pairs of the slice candidates ``_stable_components`` returns."""
-    order, starts, sizes, areas = candidates
+def _rows(m, chains):
+    """(area, members) pairs of the chains ``_stable_components`` yields, in order."""
     found = []
-    for start, size, area in zip(starts.tolist(), sizes.tolist(), areas.tolist()):
-        members = np.zeros(m, dtype=bool)
-        members[order[start:start + size]] = True
-        assert np.count_nonzero(members) == size  # a slice holds distinct vertices
-        found.append((area, members))
+    for order, sizes, areas in chains:
+        for size, area in zip(sizes.tolist(), areas.tolist()):
+            members = np.zeros(m, dtype=bool)
+            members[order[:size]] = True
+            assert np.count_nonzero(members) == size  # a prefix holds distinct vertices
+            found.append((area, members))
     return found
 
 
 def _slices(found):
-    """Slice candidates, one start each, holding the (area, members) pairs."""
-    parts = [np.flatnonzero(members) for _, members in found]
-    sizes = np.array([len(part) for part in parts], dtype=np.int64)
-    return (np.concatenate([np.zeros(0, dtype=np.int64), *parts]),
-            np.cumsum(sizes) - sizes, sizes,
-            np.array([area for area, _ in found], dtype=np.float64))
+    """One chain per (area, members) pair, holding just that component."""
+    return [(np.flatnonzero(members), np.array([np.count_nonzero(members)]),
+             np.array([area], dtype=np.float64)) for area, members in found]
 
 
 def _assert_sweep_matches_oracle(mesh, basis, params):
@@ -435,7 +432,9 @@ class TestExactArea:
 
 def _dedup_oracle(m, order, starts, sizes, overlap):
     """``regions._greedy_dedup`` by the oracles: exact repeats, then pairwise Jaccard."""
-    rows = [members for _, members in _rows(m, (order, starts, sizes, np.zeros(len(starts))))]
+    # slice i as a chain with one component
+    chains = [(order[start:], np.array([size]), np.zeros(1)) for start, size in zip(starts, sizes)]
+    rows = [members for _, members in _rows(m, chains)]
     first = _oracles.exact_dedup(rows)
     return [first[k] for k in _oracles.greedy_dedup_pairwise([rows[k] for k in first], overlap)]
 

@@ -194,18 +194,24 @@ class TestEigenbasis:
         ("stiffness", ValueError, r"stiffness must be \(m, m\) and masses \(m,\)"),
         ("masses", ValueError, r"stiffness must be \(m, m\) and masses \(m,\)"),
         ("arpack", RuntimeError, "eigensolver did not converge: ARPACK error -1"),
-    ], ids=["stiffness", "masses", "arpack"])
+        ("negative", RuntimeError, "eigensolver returned negative eigenvalue -1"),
+    ], ids=["stiffness", "masses", "arpack", "negative"])
     def test_input_checks_and_stalls(self, ico, monkeypatch, fault, error, message):
         stiffness, masses = cotangent_laplacian(ico)
         if fault == "stiffness":
             stiffness = stiffness[:, :-1]
         elif fault == "masses":
             masses = masses[:-1]
-        else:
+        elif fault == "arpack":
             def stalled(*args, **kwargs):
                 raise scipy.sparse.linalg.ArpackNoConvergence(
                     "ARPACK error -1: No convergence", np.zeros(0), np.zeros((12, 0)))
             monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+        else:
+            # far below the noise floor -1e-8 max(lambda_max, 1) of a zero eigenvalue
+            def negative(*args, **kwargs):
+                return np.array([-1.0, 0.0, 1.0, 2.0, 3.0]), np.eye(12)[:, :5]
+            monkeypatch.setattr(scipy.sparse.linalg, "eigsh", negative)
         with pytest.raises(error, match=message):
             eigenbasis(stiffness, masses, 5)
 
