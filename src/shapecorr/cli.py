@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import inspect
+import numbers
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -25,7 +26,7 @@ from .evaluate import (_threshold_grid, correspondence_error, error_curve,
                        export_colored_ply, save_error_curve)
 from .matcher import match, write_match_report
 from .mesh import (_FLOAT_FMT, MeshParseError, MeshValidationError, _Lines,
-                   load_mesh, shape_diameter)
+                   _positive_int, load_mesh, shape_diameter)
 from .pursuit import SolverOptions, default_weights
 from .refine import load_point_map, refine_icp, save_point_map
 from .regions import (DetectorParams, detect_stable_regions, load_regions,
@@ -98,13 +99,10 @@ _DETECTOR_KEYS = tuple(f.name for f in fields(DetectorParams))
 # config keys that are SolverOptions fields of the same name
 _SOLVER_KEYS = ("lam", "mu", "tol", "max_iter")
 
-# config key -> (test its value passes, what it must be); NaN fails every
-# test.  DetectorParams, SolverOptions and default_weights (for weight_p)
-# check their own keys.
-_RULES = {key: (lambda value: value >= 1, "must be positive") for key in
-          ("basis_size", "max_outer", "refine_iters", "diameter_samples")} | {
-    "prune_ratio": (lambda value: value >= 1, "must be at least 1"),
-}
+# run_pipeline's outputs in out_dir, each removed before a run writes any
+_ARTIFACTS = ("regions_x.txt", "regions_y.txt", "match_report.txt", "functional_map.txt",
+              "functional_map_refined.txt", "point_map.txt", "error_curve.txt",
+              "eval_summary.txt", "x_colored.ply", "y_colored.ply", "timings.txt")
 
 
 def _field_kind(field):
@@ -146,13 +144,19 @@ def _regions_from_files(config):
 
 def _check(config, keys):
     """Raise ValueError for the first rule the values of ``keys`` break: each
-    key's own, then DetectorParams and SolverOptions, then those across keys."""
+    key's own (an int key is a count, a float key a number), then
+    DetectorParams and SolverOptions, then those across keys."""
     for key in keys:
-        value = getattr(config, key)
+        value, kind = getattr(config, key), _field_kind(_FIELDS[key])
         if key in _CHOICES and value not in _CHOICES[key]:
             raise ValueError(f"unknown {key} {value!r}")
-        if key in _RULES and not _RULES[key][0](value):
-            raise ValueError(f"{key} {_RULES[key][1]}")
+        if kind is int:
+            _positive_int(value, key)
+        elif kind is float and not isinstance(value, numbers.Real) and (
+                value is not _FIELDS[key].default):  # None is lam's and mu's
+            raise ValueError(f"{key} must be a number, got {value!r}")
+        if key == "prune_ratio" and not value >= 1:  # NaN included
+            raise ValueError("prune_ratio must be at least 1")
     if not set(keys).isdisjoint(_DETECTOR_KEYS):
         params = _detector_params(config)
         if not _regions_from_files(config) and config.basis_size <= params.num_functions:
@@ -265,12 +269,9 @@ def _out_dir(config):
 def _refine(config, basis_x, basis_y, functional_map):
     """ICP from ``functional_map``; writes the point map and refined map."""
     out_dir = _out_dir(config)
-    with _guard("refine"):
-        refined = refine_icp(basis_x, basis_y, functional_map,
-                             max_iters=config.refine_iters)
-        save_point_map(refined.point_map, out_dir / "point_map.txt")
-        save_functional_map(refined.functional_map,
-                            out_dir / "functional_map_refined.txt")
+    refined = refine_icp(basis_x, basis_y, functional_map, max_iters=config.refine_iters)
+    save_point_map(refined.point_map, out_dir / "point_map.txt")
+    save_functional_map(refined.functional_map, out_dir / "functional_map_refined.txt")
     return refined
 
 
@@ -326,6 +327,9 @@ def run_pipeline(config, until="end"):
     if config.truth and until == "end":
         with _guard("evaluate", reading=True):
             truth = load_point_map(config.truth, num_targets=mesh_y.num_vertices)
+    with _guard("output"):  # inputs are read: no earlier run's result stays
+        for name in _ARTIFACTS:
+            (out_dir / name).unlink(missing_ok=True)
 
     timings = {}
     with _stage("basis", timings, "Basis"):

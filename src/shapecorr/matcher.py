@@ -10,13 +10,13 @@ warm-starts from the previous map.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .assignment import Assignment, build_profit, prune, solve_assignment
+from .mesh import _positive_int
 from .pursuit import SolverOptions, resolve_penalties, solve_robust_sparse_coding
 
 __all__ = [
@@ -79,10 +79,7 @@ def match(coeffs_x, coeffs_y, regions_x=None, regions_y=None, weights=None,
         The loop stops when the pairing repeats, which counts as settled,
         or after ``max_outer`` alternations without a repeat, which does not.
     """
-    if not isinstance(max_outer, numbers.Integral):
-        raise ValueError(f"max_outer must be an integer, got {max_outer!r}")
-    if max_outer < 1:
-        raise ValueError("max_outer must be positive")
+    _positive_int(max_outer, "max_outer")
     A = np.asarray(coeffs_x, dtype=np.float64)
     B = np.asarray(coeffs_y, dtype=np.float64)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:

@@ -202,10 +202,7 @@ def shape_diameter(mesh, sample_count=32):
     counts give a deterministic lower bound that is adequate for
     normalizing correspondence errors.
     """
-    if not isinstance(sample_count, numbers.Integral):
-        raise ValueError(f"sample_count must be an integer, got {sample_count!r}")
-    if sample_count < 1:
-        raise ValueError("sample_count must be positive")
+    _positive_int(sample_count, "sample_count")
     sources = _spread_sample(mesh.num_vertices, sample_count)
     return float(geodesic_distance_matrix(mesh, sources).max())
 
@@ -214,6 +211,14 @@ def _spread_sample(m, count):
     """At most ``count`` distinct, evenly strided indices of ``range(m)``,
     ascending."""
     return np.unique(np.linspace(0, m - 1, min(count, m)).round().astype(np.int64))
+
+
+def _positive_int(value, name):
+    """ValueError naming ``name`` unless ``value`` is an integer of at least 1."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive")
 
 
 # -- file formats ----------------------------------------------------------
@@ -371,11 +376,7 @@ def _parse_off(text):
     if len(counts) not in (2, 3):
         raise MeshParseError(f"line {lineno}: expected 'nv nf [ne]' counts")
     nv, nf = _count(counts[0], lineno), _count(counts[1], lineno)
-    verts = lines.table(nv, np.float64)
-    if verts is None or verts.shape[1] != 3:
-        verts = np.empty((len(lines.block), 3))
-        for i, lineno, tokens in lines.rescan("vertex"):
-            verts[i] = _floats(tokens, 3, lineno, f"vertex {i}")
+    verts, _ = _vertices(lines, nv, ("x", "y", "z"))
     return verts, _faces(lines, nf)
 
 
@@ -471,7 +472,7 @@ def _parse_ply(text):
     verts = tris = colors = None
     for name, count, props in elements:
         if name == "vertex":
-            verts, colors = _ply_vertices(lines, count, props)
+            verts, colors = _vertices(lines, count, props)
         elif name == "face":
             tris = _faces(lines, count)
         else:  # unknown elements are skipped
@@ -480,7 +481,7 @@ def _parse_ply(text):
     return verts, tris, colors
 
 
-def _ply_vertices(lines, count, props):
+def _vertices(lines, count, props):
     for axis in ("x", "y", "z"):
         if axis not in props:
             raise MeshParseError(f"PLY vertex element lacks property {axis!r}")

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import _positive_int
+
 __all__ = [
     "SolverOptions",
     "PursuitResult",
@@ -57,8 +59,7 @@ class SolverOptions:
             raise ValueError("mu must be finite and nonnegative")
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be finite and positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
+        _positive_int(self.max_iter, "max_iter")
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,7 @@ def default_weights(n, power=1.0):
     diagonal, reflecting how close to isometric the pair is believed to be.
     A negative power would make the off-diagonal entries the cheap ones.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    _positive_int(n, "n")
     if not power >= 0:
         raise ValueError("power must be nonnegative")
     idx = np.arange(n)

@@ -17,13 +17,12 @@ decides the rest over the few rows inside the margin.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .mesh import _Lines, _spread_sample
+from .mesh import _Lines, _positive_int, _spread_sample
 
 __all__ = [
     "PointMap",
@@ -210,10 +209,7 @@ def refine_icp(basis_x, basis_y, initial_map, max_iters=30):
     n = basis_x.size
     if C.shape != (n, n):
         raise ValueError(f"initial map must be ({n}, {n}), got {C.shape}")
-    if not isinstance(max_iters, numbers.Integral):
-        raise ValueError(f"max_iters must be an integer, got {max_iters!r}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be positive")
+    _positive_int(max_iters, "max_iters")
     phi = basis_x.functions
     psi = basis_y.functions[_spread_sample(basis_y.num_vertices, _FIT_ROWS)]
     trace = []

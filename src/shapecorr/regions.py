@@ -36,7 +36,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .mesh import _Lines
+from .mesh import _Lines, _positive_int
 from .spectral import project
 
 __all__ = [
@@ -71,8 +71,8 @@ class DetectorParams:
     dedup_overlap: float = 0.8
 
     def __post_init__(self):
-        if self.num_functions < 1:
-            raise ValueError("num_functions must be positive")
+        for name in ("num_functions", "levels", "stability_window"):
+            _positive_int(getattr(self, name), name)
         if self.levels < self.stability_window:
             raise ValueError("levels must be at least stability_window")
         if self.stability_window < 2:

@@ -9,6 +9,7 @@ first n expansion coefficients.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -174,7 +175,7 @@ def eigenbasis(stiffness, masses, n=DEFAULT_BASIS_SIZE):
         raise ValueError("stiffness must be (m, m) and masses (m,)")
     if not (masses > 0).all():
         raise ValueError("vertex masses must be positive")
-    if not 1 <= n <= m:
+    if not isinstance(n, numbers.Integral) or not 1 <= n <= m:
         raise ValueError(f"basis size {n} out of range [1, {m}]")
 
     if n == m:

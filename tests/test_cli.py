@@ -1,7 +1,9 @@
 """Config parsing, generated flags, pipeline artifacts, and exit codes."""
 
 import argparse
+import contextlib
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,7 +206,48 @@ class TestPipeline:
 
     def test_all_artifacts_written(self, env, ran):
         names = sorted(p.name for p in (env["tmp"] / "out").iterdir())
-        assert names == self.EXPECTED
+        assert names == self.EXPECTED == sorted(cli._ARTIFACTS)
+
+    @pytest.mark.parametrize("change, until, error, left", [
+        ({"lam": 1e6}, "end", "stage match: degenerate map",
+         ["match_report.txt", "regions_x.txt", "regions_y.txt"]),
+        ({"num_functions": 6}, "match", None,
+         ["functional_map.txt", "match_report.txt", "regions_x.txt",
+          "regions_y.txt", "timings.txt"]),
+    ], ids=["degenerate-map", "until-match"])
+    def test_rerun_leaves_no_earlier_artifact(self, env, ran, tmp_path, change,
+                                              until, error, left):
+        # a failed run, or one that stops after matching, into the directory
+        # of a full run keeps none of that run's maps, scores or PLYs
+        config = load_config(env["tmp"] / "config.cfg")
+        config.out_dir = str(tmp_path / "out")
+        run_pipeline(config)
+        with (pytest.raises(PipelineError, match=error) if error
+              else contextlib.nullcontext()):
+            run_pipeline(replace(config, **change), until=until)
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == left
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("basis_size", 20.0, "basis_size must be an integer, got 20.0"),
+        ("levels", 64.5, "levels must be an integer, got 64.5"),
+        ("stability_window", 5.5, "stability_window must be an integer, got 5.5"),
+        ("max_iter", 50.5, "max_iter must be an integer, got 50.5"),
+        ("max_outer", 2.5, "max_outer must be an integer, got 2.5"),
+        ("refine_iters", 3.5, "refine_iters must be an integer, got 3.5"),
+        ("lam", "0.1", "lam must be a number, got '0.1'"),
+        ("tol", None, "tol must be a number, got None"),
+    ])
+    def test_config_value_of_the_wrong_type(self, env, tmp_path, monkeypatch,
+                                            key, value, message):
+        # rejected at stage config, before any eigenbasis is computed
+        config = replace(load_config(env["tmp"] / "config.cfg"),
+                         out_dir=str(tmp_path / "out"), **{key: value})
+        bases = []
+        monkeypatch.setattr(cli, "_mesh_basis", lambda *a: bases.append(a))
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(config)
+        assert str(info.value) == f"stage config: {message}"
+        assert info.value.exit_code == 2 and not bases
 
     def test_self_pair_is_exact(self, env, ran):
         assert ran["mean_error"] == 0.0
@@ -518,7 +561,8 @@ class TestMain:
         assert capsys.readouterr().err.startswith(f"error: stage basis: {path}: {message}")
 
     def test_every_ruled_key_has_a_breaker(self):
-        ruled = (set(cli._RULES) | set(cli._CHOICES) | set(cli._DETECTOR_KEYS)
+        counts = {key for key, field in cli._FIELDS.items() if cli._field_kind(field) is int}
+        ruled = (counts | {"prune_ratio"} | set(cli._CHOICES) | set(cli._DETECTOR_KEYS)
                  | set(cli._SOLVER_KEYS)
                  | {"weight_p", "threshold_max", "threshold_step"})
         assert set(RULE_BREAKERS) == ruled

@@ -39,6 +39,8 @@ class TestWeights:
     def test_bad_size(self):
         with pytest.raises(ValueError, match="positive"):
             default_weights(0)
+        with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
+            default_weights(2.5)
 
     @pytest.mark.parametrize("n, power, message", [
         (3, np.nan, "power must be nonnegative"),
@@ -296,6 +298,8 @@ class TestSolver:
                 SolverOptions(tol=tol)
         with pytest.raises(ValueError, match="max_iter"):
             SolverOptions(max_iter=0)
+        with pytest.raises(ValueError, match="max_iter must be an integer, got 10.5"):
+            SolverOptions(max_iter=10.5)
 
 
 class TestAgainstJointOracle:

@@ -65,6 +65,9 @@ class TestParams:
         for frac in (np.nan, -0.01, 1.5):
             with pytest.raises(ValueError, match=r"min_area_frac must be in \[0, 1\]"):
                 DetectorParams(min_area_frac=frac)
+        for name in ("num_functions", "levels", "stability_window"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got 64.5"):
+                DetectorParams(**{name: 64.5})
         DetectorParams(stability_tol=0.0, min_area_frac=0.0)
         DetectorParams(min_area_frac=1.0)
 
