@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import inspect
 import numbers
+import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -144,8 +145,8 @@ def _regions_from_files(config):
 
 def _check(config, keys):
     """Raise ValueError for the first rule the values of ``keys`` break: each
-    key's own (an int key is a count, a float key a number), then
-    DetectorParams and SolverOptions, then those across keys."""
+    key's own (an int key is a count, a float key a number, a str key a
+    path), then DetectorParams and SolverOptions, then those across keys."""
     for key in keys:
         value, kind = getattr(config, key), _field_kind(_FIELDS[key])
         if key in _CHOICES and value not in _CHOICES[key]:
@@ -155,6 +156,8 @@ def _check(config, keys):
         elif kind is float and not isinstance(value, numbers.Real) and (
                 value is not _FIELDS[key].default):  # None is lam's and mu's
             raise ValueError(f"{key} must be a number, got {value!r}")
+        elif kind is str and not isinstance(value, (str, os.PathLike)):
+            raise ValueError(f"{key} must be a path, got {value!r}")
         if key == "prune_ratio" and not value >= 1:  # NaN included
             raise ValueError("prune_ratio must be at least 1")
     if not set(keys).isdisjoint(_DETECTOR_KEYS):
@@ -266,31 +269,29 @@ def _out_dir(config):
     return out_dir
 
 
-def _refine(config, basis_x, basis_y, functional_map):
+def _refine(config, out_dir, basis_x, basis_y, functional_map):
     """ICP from ``functional_map``; writes the point map and refined map."""
-    out_dir = _out_dir(config)
     refined = refine_icp(basis_x, basis_y, functional_map, max_iters=config.refine_iters)
     save_point_map(refined.point_map, out_dir / "point_map.txt")
     save_functional_map(refined.functional_map, out_dir / "functional_map_refined.txt")
     return refined
 
 
-def _evaluate(config, point_map, mesh_y, truth):
-    """Errors against ``truth``; writes the curve and the summary."""
-    out_dir = _out_dir(config)
+def _evaluate(config, out_dir, point_map, mesh_y, truth):
+    """Mean error against ``truth``; writes the curve and the summary."""
     with _guard("evaluate"):
         diameter = shape_diameter(mesh_y, config.diameter_samples)
         errors = correspondence_error(point_map, truth, mesh_y, diameter)
         thresholds = _threshold_grid(config.threshold_max, config.threshold_step)
         save_error_curve(error_curve(errors, thresholds), out_dir / "error_curve.txt")
+        mean_error = float(errors.mean())
         (out_dir / "eval_summary.txt").write_text(
-            f"mean_error = {float(errors.mean()):.12f}\n"
+            f"mean_error = {mean_error:.12f}\n"
             f"median_error = {float(np.median(errors)):.12f}\n")
-    return errors
+    return mean_error
 
 
-def _export(config, mesh_x, mesh_y, point_map):
-    out_dir = _out_dir(config)
+def _export(out_dir, mesh_x, mesh_y, point_map):
     with _guard("export"):
         export_colored_ply(mesh_x, mesh_y, point_map,
                            out_dir / "x_colored.ply", out_dir / "y_colored.ply")
@@ -326,7 +327,8 @@ def run_pipeline(config, until="end"):
             regions_y = load_regions(config.regions_y, mesh_y)
     if config.truth and until == "end":
         with _guard("evaluate", reading=True):
-            truth = load_point_map(config.truth, num_targets=mesh_y.num_vertices)
+            truth = load_point_map(config.truth, num_targets=mesh_y.num_vertices,
+                                   num_sources=mesh_x.num_vertices)
     with _guard("output"):  # inputs are read: no earlier run's result stays
         for name in _ARTIFACTS:
             (out_dir / name).unlink(missing_ok=True)
@@ -361,10 +363,10 @@ def run_pipeline(config, until="end"):
     mean_error = None
     if until == "end":
         with _stage("refine", timings, "Ref."):
-            refined = _refine(config, basis_x, basis_y, result.functional_map)
+            refined = _refine(config, out_dir, basis_x, basis_y, result.functional_map)
         if config.truth:
-            mean_error = float(_evaluate(config, refined.point_map, mesh_y, truth).mean())
-        _export(config, mesh_x, mesh_y, refined.point_map)
+            mean_error = _evaluate(config, out_dir, refined.point_map, mesh_y, truth)
+        _export(out_dir, mesh_x, mesh_y, refined.point_map)
 
     timings.setdefault("Ref.", 0.0)  # ``until="match"`` stops before refinement
     timings["Tot."] = time.perf_counter() - t_total
@@ -436,8 +438,9 @@ def _cmd_refine(args, config):
         if fmap.shape != (n, n):
             raise ValueError(f"{args.fmap}: functional map must be ({n}, {n}) "
                              f"for the bases, got {fmap.shape}")
-    refined = _refine(config, basis_x, basis_y, fmap)
-    print(f"wrote {Path(config.out_dir) / 'point_map.txt'} "
+    out_dir = _out_dir(config)
+    refined = _refine(config, out_dir, basis_x, basis_y, fmap)
+    print(f"wrote {out_dir / 'point_map.txt'} "
           f"({refined.iterations} iterations)")
 
 
@@ -445,9 +448,10 @@ def _cmd_eval(args, config):
     with _guard(args.command, reading=True):
         mesh_y = load_mesh(config.mesh_y)
         truth = load_point_map(config.truth, num_targets=mesh_y.num_vertices)
-        predicted = load_point_map(args.map, num_targets=mesh_y.num_vertices)
-    _evaluate(config, predicted, mesh_y, truth)
-    out_dir = Path(config.out_dir)
+        predicted = load_point_map(args.map, num_targets=mesh_y.num_vertices,
+                                   num_sources=len(truth))
+    out_dir = _out_dir(config)
+    _evaluate(config, out_dir, predicted, mesh_y, truth)
     print((out_dir / "eval_summary.txt").read_text(), end="")
     print(f"wrote {out_dir / 'error_curve.txt'}")
 
@@ -456,9 +460,10 @@ def _cmd_export(args, config):
     with _guard(args.command, reading=True):
         mesh_x = load_mesh(config.mesh_x)
         mesh_y = load_mesh(config.mesh_y)
-        predicted = load_point_map(args.map, num_targets=mesh_y.num_vertices)
-    _export(config, mesh_x, mesh_y, predicted)
-    out_dir = Path(config.out_dir)
+        predicted = load_point_map(args.map, num_targets=mesh_y.num_vertices,
+                                   num_sources=mesh_x.num_vertices)
+    out_dir = _out_dir(config)
+    _export(out_dir, mesh_x, mesh_y, predicted)
     print(f"wrote {out_dir / 'x_colored.ply'} and {out_dir / 'y_colored.ply'}")
 
 

@@ -107,10 +107,8 @@ def match(coeffs_x, coeffs_y, regions_x=None, regions_y=None, weights=None,
 
     previous_cols = None
     trace = []
-    assignment = None
     result = None
     converged = False
-    outer = 0
     for outer in range(1, max_outer + 1):
         result = solve_robust_sparse_coding(
             A, target, weights, options,

@@ -214,8 +214,9 @@ def _spread_sample(m, count):
 
 
 def _positive_int(value, name):
-    """ValueError naming ``name`` unless ``value`` is an integer of at least 1."""
-    if not isinstance(value, numbers.Integral):
+    """ValueError naming ``name`` unless ``value`` is an integer of at least 1;
+    a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be positive")

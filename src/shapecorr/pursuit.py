@@ -153,10 +153,13 @@ def resolve_penalties(coeffs_x, coeffs_y, lam=None, mu=None):
     The default lam is 0.3 max|A^T A| / q for the q rows of A =
     ``coeffs_x``, the default mu 0.3 times the median row norm of
     ``coeffs_y``; both stay balanced against the data term as the region
-    count grows.  A given value passes through unchanged.
+    count grows.  A given value passes through unchanged.  Either set
+    empty raises ValueError.
     """
     A = np.asarray(coeffs_x, dtype=np.float64)
     B = np.asarray(coeffs_y, dtype=np.float64)
+    if not (A.size and B.size):
+        raise ValueError(f"empty coefficient set: shapes {A.shape} and {B.shape}")
     if lam is None:
         lam = 0.3 * float(np.abs(A.T @ A).max()) / A.shape[0]
     if mu is None:

@@ -215,7 +215,6 @@ def refine_icp(basis_x, basis_y, initial_map, max_iters=30):
     trace = []
     previous = None
     converged = False
-    iterations = 0
     for iterations in range(1, max_iters + 1):
         transported = psi @ C.T
         matched = nearest_rows(phi, transported)  # sampled target row -> source row
@@ -238,12 +237,13 @@ def save_point_map(point_map, path):
     Path(path).write_text("\n".join(map(str, point_map.indices.tolist())) + "\n")
 
 
-def load_point_map(path, num_targets=None):
+def load_point_map(path, num_targets=None, num_sources=None):
     """Read a point map written by :func:`save_point_map`.
 
     One vertex index per line; ``#`` starts a comment, and blank lines
     are skipped.  A line that is not one integer raises an error naming
-    it.  When ``num_targets`` is given, indices are validated against it.
+    it.  When ``num_targets`` is given, indices are validated against it;
+    when ``num_sources`` is given, so is the number of entries.
     """
     indices = []
     for lineno, line in _Lines(Path(path).read_text(), cut="#").lines:
@@ -258,6 +258,8 @@ def load_point_map(path, num_targets=None):
     if not indices:
         raise ValueError(f"{path}: empty point map")
     arr = np.array(indices, dtype=np.int64)
+    if num_sources is not None and len(arr) != num_sources:
+        raise ValueError(f"{path}: point map has {len(arr)} entries, expected {num_sources}")
     if num_targets is not None and arr.max() >= num_targets:
         raise ValueError(
             f"{path}: index {arr.max()} out of range for {num_targets} vertices")

@@ -182,19 +182,18 @@ def detect_stable_regions(mesh, basis, params=None):
     starts = np.repeat(np.cumsum(lengths) - lengths,
                        [len(chain_sizes) for _, chain_sizes, _ in chains])
 
-    # greedy Jaccard dedup, larger regions take precedence
+    # the area cut keeps a prefix of the ranking; then a greedy Jaccard
+    # dedup, larger regions take precedence
     ranked = np.argsort(-areas, kind="stable")
+    ranked = ranked[areas[ranked] / mesh.total_area >= params.min_area_frac]
+    if not len(ranked):
+        raise ValueError("no regions detected; relax the area or stability limits")
     kept = ranked[_greedy_dedup(mesh.num_vertices, order, starts[ranked], sizes[ranked],
                                 params.dedup_overlap)]
-    fractions = areas[kept] / mesh.total_area
-    large = fractions >= params.min_area_frac
-    if not large.any():
-        raise ValueError("no regions detected; relax the area or stability limits")
-    kept = kept[large]
     members = np.zeros((len(kept), mesh.num_vertices), dtype=bool)
     for row, start, size in zip(members, starts[kept], sizes[kept]):
         row[order[start:start + size]] = True
-    return RegionSet(members=members, area_fractions=fractions[large])
+    return RegionSet(members=members, area_fractions=areas[kept] / mesh.total_area)
 
 
 def _area_units(vertex_areas):

@@ -175,7 +175,7 @@ def eigenbasis(stiffness, masses, n=DEFAULT_BASIS_SIZE):
         raise ValueError("stiffness must be (m, m) and masses (m,)")
     if not (masses > 0).all():
         raise ValueError("vertex masses must be positive")
-    if not isinstance(n, numbers.Integral) or not 1 <= n <= m:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= m:
         raise ValueError(f"basis size {n} out of range [1, {m}]")
 
     if n == m:

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import inspect
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,18 +237,30 @@ class TestPipeline:
         ("refine_iters", 3.5, "refine_iters must be an integer, got 3.5"),
         ("lam", "0.1", "lam must be a number, got '0.1'"),
         ("tol", None, "tol must be a number, got None"),
+        ("mesh_x", 3, "mesh_x must be a path, got 3"),
+        ("out_dir", None, "out_dir must be a path, got None"),
     ])
     def test_config_value_of_the_wrong_type(self, env, tmp_path, monkeypatch,
                                             key, value, message):
         # rejected at stage config, before any eigenbasis is computed
         config = replace(load_config(env["tmp"] / "config.cfg"),
-                         out_dir=str(tmp_path / "out"), **{key: value})
+                         **{"out_dir": str(tmp_path / "out"), key: value})
         bases = []
         monkeypatch.setattr(cli, "_mesh_basis", lambda *a: bases.append(a))
         with pytest.raises(PipelineError) as info:
             run_pipeline(config)
         assert str(info.value) == f"stage config: {message}"
         assert info.value.exit_code == 2 and not bases
+
+    def test_path_objects_as_paths(self, env, ran, tmp_path):
+        # a pathlib.Path serves wherever a str path does
+        config = load_config(env["tmp"] / "config.cfg")
+        paths = {key: Path(getattr(config, key))
+                 for key in ("mesh_x", "mesh_y", "basis_cache_x", "basis_cache_y", "truth")}
+        result = run_pipeline(replace(config, out_dir=tmp_path / "out", **paths))
+        assert result["mean_error"] == ran["mean_error"]
+        assert ((tmp_path / "out" / "point_map.txt").read_bytes()
+                == (env["tmp"] / "out" / "point_map.txt").read_bytes())
 
     def test_self_pair_is_exact(self, env, ran):
         assert ran["mean_error"] == 0.0
@@ -393,6 +406,12 @@ FAILURES = [
      "stage refine: {bx} and {b12}: basis sizes differ: 20 vs 12"),
     ("eval --map {neg} --truth {truth} --mesh-y {y} -o {tmp}/ev", 2,
      "stage eval: {neg}:3: vertex index must be nonnegative, got -1"),
+    ("run --config {cfg} --out-dir {tmp}/out --truth {short}", 2,
+     "stage evaluate: {short}: point map has 161 entries, expected 162"),
+    ("eval --map {short} --truth {truth} --mesh-y {y} -o {tmp}/ev", 2,
+     "stage eval: {short}: point map has 161 entries, expected 162"),
+    ("export --mesh-x {x} --mesh-y {y} --map {short} -o {tmp}/ex", 2,
+     "stage export: {short}: point map has 161 entries, expected 162"),
     ("run --config {cfg} --out-dir {tmp}/out --max-outer 0", 2,
      "stage config: max_outer must be positive"),
     ("match --config {cfg} --out-dir {tmp}/out --max-outer 0", 2,
@@ -503,6 +522,8 @@ class TestMain:
         np.savetxt(tmp_path / "small.txt", np.eye(5))
         (tmp_path / "empty.txt").write_text("")
         (tmp_path / "neg.txt").write_text("0\n# one below the first vertex\n-1\n")
+        truth_lines = (env["tmp"] / "truth.txt").read_text().splitlines(keepends=True)
+        (tmp_path / "short.txt").write_text("".join(truth_lines[:-1]))
         config_text = (env["tmp"] / "config.cfg").read_text()
         (tmp_path / "guess.cfg").write_text(config_text + "region_source = guess\n")
         (tmp_path / "regions.txt").write_text("0 1 2\n0 x 3\n")
@@ -524,7 +545,8 @@ class TestMain:
                  "guess": tmp_path / "guess.cfg", "regions": tmp_path / "regions.txt",
                  "small": tmp_path / "small.txt", "empty": tmp_path / "empty.txt",
                  "b12": tmp_path / "b12.bin", "bnan": tmp_path / "bnan.bin",
-                 "nanmap": tmp_path / "nanmap.txt", "neg": tmp_path / "neg.txt"}
+                 "nanmap": tmp_path / "nanmap.txt", "neg": tmp_path / "neg.txt",
+                 "short": tmp_path / "short.txt"}
         bases = []
         mesh_basis = cli._mesh_basis
         monkeypatch.setattr(cli, "_mesh_basis",

@@ -176,6 +176,11 @@ class TestMechanics:
     def test_incompatible_shapes(self):
         with pytest.raises(ValueError, match="incompatible coefficient shapes"):
             match(np.ones((3, 4)), np.ones((2, 5)))
+        # an empty set on either side, the larger one first or second
+        with pytest.raises(ValueError, match=r"shapes \(0, 10\) and \(3, 10\)"):
+            match(np.zeros((0, 10)), np.ones((3, 10)))
+        with pytest.raises(ValueError, match=r"shapes \(3, 10\) and \(0, 10\)"):
+            match(np.ones((3, 10)), np.zeros((0, 10)))
 
 
 class TestReport:

@@ -211,6 +211,8 @@ class TestGeodesics:
             shape_diameter(tetra, sample_count=0)
         with pytest.raises(ValueError, match="sample_count must be an integer"):
             shape_diameter(tetra, sample_count=2.5)
+        with pytest.raises(ValueError, match="sample_count must be an integer, got True"):
+            shape_diameter(tetra, True)
 
 
 class TestFormats:

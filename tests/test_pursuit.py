@@ -41,6 +41,8 @@ class TestWeights:
             default_weights(0)
         with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
             default_weights(2.5)
+        with pytest.raises(ValueError, match="n must be an integer, got True"):
+            default_weights(True)
 
     @pytest.mark.parametrize("n, power, message", [
         (3, np.nan, "power must be nonnegative"),
@@ -281,7 +283,9 @@ class TestSolver:
          "dictionary and target must be 2-d"),
         (lambda: solve_robust_sparse_coding(np.ones((4, 3)), np.ones(4)),
          "dictionary and target must be 2-d"),
-    ], ids=["prox-negative-step", "1-d-dictionary", "1-d-target"])
+        (lambda: solve_robust_sparse_coding(np.zeros((0, 5)), np.zeros((0, 5))),
+         r"empty coefficient set: shapes \(0, 5\) and \(0, 5\)"),
+    ], ids=["prox-negative-step", "1-d-dictionary", "1-d-target", "empty"])
     def test_input_checks(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
@@ -300,6 +304,8 @@ class TestSolver:
             SolverOptions(max_iter=0)
         with pytest.raises(ValueError, match="max_iter must be an integer, got 10.5"):
             SolverOptions(max_iter=10.5)
+        with pytest.raises(ValueError, match="max_iter must be an integer, got True"):
+            SolverOptions(max_iter=True)
 
 
 class TestAgainstJointOracle:

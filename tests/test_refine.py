@@ -270,7 +270,7 @@ class TestRefine:
             refine_icp(creature3_basis, creature3_basis, np.eye(3))
         with pytest.raises(ValueError, match="max_iters"):
             refine_icp(creature3_basis, creature3_basis, np.eye(20), max_iters=0)
-        for count in (2.5, float("nan")):
+        for count in (2.5, float("nan"), True):
             with pytest.raises(ValueError, match="max_iters must be an integer"):
                 refine_icp(creature3_basis, creature3_basis, np.eye(20), max_iters=count)
 

@@ -68,6 +68,8 @@ class TestParams:
         for name in ("num_functions", "levels", "stability_window"):
             with pytest.raises(ValueError, match=f"{name} must be an integer, got 64.5"):
                 DetectorParams(**{name: 64.5})
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got True"):
+                DetectorParams(**{name: True})
         DetectorParams(stability_tol=0.0, min_area_frac=0.0)
         DetectorParams(min_area_frac=1.0)
 

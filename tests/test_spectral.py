@@ -182,6 +182,8 @@ class TestEigenbasis:
             eigenbasis(stiffness, masses, 5)
         with pytest.raises(ValueError, match=r"basis size 2.0 out of range \[1, 4\]"):
             eigenbasis(stiffness, masses, 2.0)
+        with pytest.raises(ValueError, match=r"basis size True out of range \[1, 4\]"):
+            eigenbasis(stiffness, masses, True)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
     def test_nonpositive_mass_rejected(self, ico, bad):
