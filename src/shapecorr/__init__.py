@@ -16,8 +16,8 @@ from .evaluate import (DEFAULT_THRESHOLDS, ErrorCurve, correspondence_error,
 from .matcher import MatchResult, match, write_match_report
 from .mesh import (Mesh, MeshParseError, MeshValidationError,
                    geodesic_distance_matrix, load_mesh, save_mesh, shape_diameter)
-from .pursuit import (PursuitResult, SolverOptions, default_weights, objective,
-                      prox_l21_rows, prox_weighted_l1, resolve_penalties,
+from .pursuit import (PursuitResult, SolverOptions, default_weights, prox_l21_rows,
+                      prox_weighted_l1, resolve_penalties,
                       solve_robust_sparse_coding, step_size)
 from .refine import (PointMap, RefineResult, load_point_map, nearest_rows,
                      orthogonal_procrustes, point_map_from_functional,

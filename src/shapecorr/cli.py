@@ -178,7 +178,7 @@ def _check(config, keys):
     if not set(keys).isdisjoint(("threshold_max", "threshold_step")):
         try:
             _threshold_grid(config.threshold_max, config.threshold_step)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, MemoryError) as exc:
             raise ValueError(f"threshold_max {config.threshold_max}, "
                              f"threshold_step {config.threshold_step}: {exc}") from None
 
@@ -197,11 +197,19 @@ def save_functional_map(functional_map, path):
 
 
 def load_functional_map(path):
-    lines = _Lines(Path(path).read_text(), cut="#").lines
-    if not lines:
+    """A square map; a bad number or row length names its file and line."""
+    rows = []
+    for lineno, line in _Lines(Path(path).read_text(), cut="#").lines:
+        try:
+            rows.append(np.array(line.split(), dtype=np.float64))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise ValueError(f"{path}:{lineno}: expected {len(rows[0])} numbers, "
+                             f"got {len(rows[-1])}")
+    if not rows:
         raise ValueError(f"{path}: empty functional map")
-    mat = np.loadtxt([line for _, line in lines], dtype=np.float64,
-                     comments=None, ndmin=2)
+    mat = np.array(rows)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{path}: functional map must be square, got {mat.shape}")
     if not np.isfinite(mat).all():

@@ -159,7 +159,8 @@ def error_curve(errors, thresholds=None):
 
     The fraction at each threshold counts errors less than or equal to
     it; with the default grid the first point is the exactly-correct rate
-    and the curve is nondecreasing by construction.
+    and the curve is nondecreasing by construction.  Each count is a binary
+    search in the sorted errors: memory stays linear in both lengths.
     """
     errors = np.asarray(errors, dtype=np.float64)
     if errors.ndim != 1 or len(errors) == 0:
@@ -169,7 +170,7 @@ def error_curve(errors, thresholds=None):
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLDS
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    fractions = (errors[None, :] <= thresholds[:, None]).mean(axis=1)
+    fractions = np.searchsorted(np.sort(errors), thresholds, side="right") / len(errors)
     return ErrorCurve(thresholds=thresholds.copy(), fractions=fractions)
 
 

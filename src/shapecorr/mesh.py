@@ -240,11 +240,14 @@ def _format(path, format):
 def load_mesh(path, format=None):
     """Read an OFF, OBJ, or ASCII-PLY file and return a validated Mesh.
 
-    ``format`` is inferred from the file extension when omitted.
+    ``format`` is inferred from the file extension when omitted.  A parse
+    or validation error keeps its type and names the file.
     """
     reader = _READERS[_format(path, format)]
-    verts, tris = reader(Path(path).read_text())[:2]
-    return Mesh(verts, tris)
+    try:
+        return Mesh(*reader(Path(path).read_text())[:2])
+    except (MeshParseError, MeshValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def save_mesh(mesh, path, format=None, colors=None):

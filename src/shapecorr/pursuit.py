@@ -6,15 +6,16 @@ For fixed region correspondence the matching problem reduces to
 
 where A (q, n) holds the source-shape region coefficients, Bp (q, n) the
 reordered target coefficients, C (n, n) is the sought coefficient-space
-transport, W an elementwise penalty weight favoring near-diagonal C, and
-the row-wise l2,1 norm lets whole rows of the residual be written off as
-outliers O.  For fixed C the best O is the row shrinkage by mu of the
-residual R = Bp - A C; eliminating it leaves sum_i h_mu(||r_i||) +
-lam ||W o C||_1, with h_mu the Huber function (the Moreau envelope of
-mu ||.||).  Its gradient -A^T (r_i min(1, mu / ||r_i||))_i is Lipschitz
-with constant exactly sigma_max(A)^2, as the row projection onto the
-mu-ball is nonexpansive.  The solver runs FISTA on C alone with that step
-bound and returns O in closed form.
+transport, W a finite, nonnegative elementwise weight favoring
+near-diagonal C, and the row-wise l2,1 norm lets whole rows of the
+residual be written off as outliers O.  For fixed C the best O is the row
+shrinkage by mu of the residual R = Bp - A C; eliminating it leaves sum_i
+h_mu(||r_i||) + lam ||W o C||_1, with h_mu the Huber function (the Moreau
+envelope of mu ||.||).  Its gradient -A^T (r_i min(1, mu / ||r_i||))_i is
+Lipschitz with constant exactly sigma_max(A)^2, as the row projection onto
+the mu-ball is nonexpansive.  The solver runs FISTA on C alone with that
+step bound and returns O in closed form; its trace is the reduced value,
+which equals the joint objective above at that O.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "prox_weighted_l1",
     "prox_l21_rows",
     "step_size",
-    "objective",
     "resolve_penalties",
     "solve_robust_sparse_coding",
 ]
@@ -139,14 +139,6 @@ def step_size(dictionary):
     return float(np.linalg.norm(A, 2)) ** 2 or 1.0
 
 
-def objective(dictionary, target, functional_map, outliers, weights, lam, mu):
-    """Value of the robust sparse-coding objective at (C, O)."""
-    residual = target - dictionary @ functional_map - outliers
-    return (0.5 * float(np.sum(residual * residual))
-            + lam * float(np.sum(weights * np.abs(functional_map)))
-            + mu * float(np.sum(np.linalg.norm(outliers, axis=1))))
-
-
 def resolve_penalties(coeffs_x, coeffs_y, lam=None, mu=None):
     """``lam`` and ``mu``, each scaled from the coefficients when None.
 
@@ -180,6 +172,8 @@ def solve_robust_sparse_coding(dictionary, target, weights=None, options=None,
 
     Without acceleration every step is guaranteed not to increase the
     objective; with acceleration the trace simply records the raw values.
+    ``weights`` must be finite and nonnegative: a negative one makes the
+    l1 term concave.
     """
     A = np.asarray(dictionary, dtype=np.float64)
     Bp = np.asarray(target, dtype=np.float64)
@@ -193,6 +187,8 @@ def solve_robust_sparse_coding(dictionary, target, weights=None, options=None,
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (n, n):
         raise ValueError(f"weights must be ({n}, {n}), got {weights.shape}")
+    if not ((weights >= 0) & (weights < np.inf)).all():
+        raise ValueError("weights must be finite and nonnegative")
     options = options or SolverOptions()
     lam, mu = resolve_penalties(A, Bp, options.lam, options.mu)
 

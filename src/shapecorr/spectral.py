@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg
 from scipy import sparse
 
@@ -158,16 +157,15 @@ def cotangent_laplacian(mesh):
 def eigenbasis(stiffness, masses, n=DEFAULT_BASIS_SIZE):
     """Lowest ``n`` eigenpairs of  S phi = lambda M phi  as a SpectralBasis.
 
-    For n < m the pencil is solved in standard form (Lehoucq, Sorensen &
-    Yang, ARPACK Users' Guide, 1998, sec. 3.2): with D = M^(-1/2), the
-    eigenpairs of A = D S D are (lambda, y = M^(1/2) phi).  Shift-invert
+    Every size is solved in standard form (Lehoucq, Sorensen & Yang,
+    ARPACK Users' Guide, 1998, sec. 3.2): with D = M^(-1/2), the eigenpairs
+    of A = D S D are (lambda, y = M^(1/2) phi).  For n < m shift-invert
     Lanczos runs on A with one symmetric minimum-degree LU of A - sigma I,
     from the start vector M^(1/2) x0, which spans the Krylov spaces of the
-    generalized solve from x0; then phi = y / sqrt(masses).  ARPACK needs
-    n < m, so a basis of every vertex falls back to the dense generalized
-    solve.  Either way the pairs are sorted by ascending eigenvalue, each
-    column scaled to unit mass norm and signed so that its largest-magnitude
-    entry is positive.
+    generalized solve from x0; ARPACK needs n < m, so n = m is a dense
+    symmetric solve of A.  Then phi = y / sqrt(masses), the pairs sorted by
+    ascending eigenvalue, each column scaled to unit mass norm and signed so
+    that its largest-magnitude entry is positive.
     """
     m = stiffness.shape[0]
     masses = np.asarray(masses, dtype=np.float64)
@@ -178,18 +176,17 @@ def eigenbasis(stiffness, masses, n=DEFAULT_BASIS_SIZE):
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= m:
         raise ValueError(f"basis size {n} out of range [1, {m}]")
 
+    root = np.sqrt(masses)
+    scale = sparse.diags(1.0 / root)
+    a = (scale @ sparse.csc_matrix(stiffness) @ scale).tocsc()
     if n == m:
-        dense = stiffness.toarray() if sparse.issparse(stiffness) else np.asarray(stiffness)
-        ev, phi = scipy.linalg.eigh(dense, np.diag(masses))
+        ev, y = np.linalg.eigh(a.toarray())
     else:
         # shift just below zero keeps the factorized matrix nonsingular and
         # targets the bottom of the spectrum at any geometric scale; a fixed
         # start vector makes the basis a deterministic function of the mesh
         sigma = -1.0 / float(masses.sum())
         start = np.random.default_rng(0).uniform(-1.0, 1.0, m)
-        root = np.sqrt(masses)
-        scale = sparse.diags(1.0 / root)
-        a = (scale @ sparse.csc_matrix(stiffness) @ scale).tocsc()
         # A - sigma I is symmetric positive definite: no pivoting needed
         lu = scipy.sparse.linalg.splu(
             a - sigma * sparse.identity(m, format="csc"),
@@ -204,7 +201,7 @@ def eigenbasis(stiffness, masses, n=DEFAULT_BASIS_SIZE):
             raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
         # free the factor before the basis and its checks allocate
         del lu, a
-        phi = y / root[:, None]
+    phi = y / root[:, None]
 
     order = np.argsort(ev)
     ev = ev[order]

@@ -8,7 +8,7 @@ from scipy import optimize
 from scipy.sparse import csgraph
 
 from shapecorr.mesh import MeshParseError
-from shapecorr.pursuit import objective, prox_l21_rows, prox_weighted_l1
+from shapecorr.pursuit import prox_l21_rows, prox_weighted_l1
 from shapecorr.regions import RegionSet
 
 
@@ -144,6 +144,19 @@ def optimality_residual(dictionary, target, functional_map, outliers,
         direction = O[alive] / row_norms[alive, None]
         slack_O[alive] = np.linalg.norm(residual[alive] + mu * direction, axis=1)
     return float(max(slack_C.max(initial=0.0), slack_O.max(initial=0.0)))
+
+
+def objective(dictionary, target, functional_map, outliers, weights, lam, mu):
+    """Joint robust sparse-coding objective at (C, O).
+
+    1/2 ||Bp - A C - O||_F^2 + lam ||W o C||_1 + mu ||O||_{2,1}; the solver
+    computes only its reduced (Huber) form, which equals this at the
+    closed-form O.
+    """
+    residual = target - dictionary @ functional_map - outliers
+    return (0.5 * float(np.sum(residual * residual))
+            + lam * float(np.sum(weights * np.abs(functional_map)))
+            + mu * float(np.sum(np.linalg.norm(outliers, axis=1))))
 
 
 def solve_joint_pursuit(dictionary, target, weights, lam, mu, tol=1e-8,

@@ -392,7 +392,13 @@ FAILURES = [
     ("refine --basis-x {file} --basis-y {by} --fmap {fmap} -o {tmp}/ref", 2,
      "stage refine: {file}: not a basis cache file"),
     ("refine --basis-x {bx} --basis-y {by} --fmap {file} -o {tmp}/ref", 2,
-     "stage refine: could not convert string"),
+     "stage refine: {file}:1: could not convert string to float: 'not'"),
+    ("refine --basis-x {bx} --basis-y {by} --fmap {badfmap} -o {tmp}/ref", 2,
+     "stage refine: {badfmap}:3: could not convert string to float: 'x'"),
+    ("refine --basis-x {bx} --basis-y {by} --fmap {ragged} -o {tmp}/ref", 2,
+     "stage refine: {ragged}:2: expected 2 numbers, got 1"),
+    ("run --config {cfg} --out-dir {tmp}/out --mesh-y {badmesh}", 2,
+     "stage load: {badmesh}: line 4: expected 3 numbers for vertex 1, got 2"),
     ("refine --basis-x {bx} --basis-y {by} --fmap {small} -o {tmp}/ref", 2,
      "stage refine: {small}: functional map must be (20, 20) for the bases, "
      "got (5, 5)"),
@@ -527,6 +533,9 @@ class TestMain:
         config_text = (env["tmp"] / "config.cfg").read_text()
         (tmp_path / "guess.cfg").write_text(config_text + "region_source = guess\n")
         (tmp_path / "regions.txt").write_text("0 1 2\n0 x 3\n")
+        (tmp_path / "badfmap.txt").write_text("# a 2 x 2 map\n1 0\n0 x\n")
+        (tmp_path / "ragged.txt").write_text("1 0\n0\n")
+        (tmp_path / "bad.off").write_text("OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n")
         by = load_basis(env["tmp"] / "by.bin")
         cut = SpectralBasis(by.functions[:, :12], by.eigenvalues[:12], by.masses)
         save_basis(cut, tmp_path / "b12.bin")
@@ -546,7 +555,8 @@ class TestMain:
                  "small": tmp_path / "small.txt", "empty": tmp_path / "empty.txt",
                  "b12": tmp_path / "b12.bin", "bnan": tmp_path / "bnan.bin",
                  "nanmap": tmp_path / "nanmap.txt", "neg": tmp_path / "neg.txt",
-                 "short": tmp_path / "short.txt"}
+                 "short": tmp_path / "short.txt", "badfmap": tmp_path / "badfmap.txt",
+                 "ragged": tmp_path / "ragged.txt", "badmesh": tmp_path / "bad.off"}
         bases = []
         mesh_basis = cli._mesh_basis
         monkeypatch.setattr(cli, "_mesh_basis",
@@ -558,6 +568,24 @@ class TestMain:
         # only the basis row that fails writing its result gets as far as
         # computing or loading an eigenbasis
         assert len(bases) == argv.startswith("basis {x} -o {file}")
+
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_threshold_grid_out_of_memory(self, env, tmp_path, capsys, monkeypatch,
+                                          command):
+        # a grid too large to allocate is a bad config value; the failed
+        # allocation is simulated, never made
+        def too_large(top, step):
+            raise MemoryError("Unable to allocate 1.82 TiB for an array")
+        monkeypatch.setattr(cli, "_threshold_grid", too_large)
+        bases = []
+        monkeypatch.setattr(cli, "_mesh_basis", lambda *a: bases.append(a))
+        argv = COMMAND_ARGV[command].format(tmp=tmp_path, cfg=env["tmp"] / "config.cfg")
+        assert main([*argv.split(), "--threshold-step", "1e-12"]) == 2
+        stage = "config" if command == "run" else command
+        assert capsys.readouterr().err.startswith(
+            f"error: stage {stage}: threshold_max 0.25, threshold_step 1e-12: "
+            "Unable to allocate")
+        assert not bases
 
     @pytest.mark.parametrize("cache, message", [
         ("other", "cache has 12 vertices, mesh has 162"),

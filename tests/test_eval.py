@@ -280,6 +280,22 @@ class TestErrorCurveFunction:
         curve = error_curve(np.array([0.0, 0.3]))
         assert np.array_equal(curve.thresholds, before)
 
+    def test_peak_memory_linear(self, rng):
+        # a thresholds x errors boolean matrix would peak at about 48 MB;
+        # errors that sit on grid values count at their own threshold
+        thresholds = evaluate._threshold_grid(0.25, 0.000025)
+        errors = np.concatenate([rng.uniform(0.0, 0.3, 5000), thresholds[::400]])
+        tracemalloc.start()
+        try:
+            curve = error_curve(errors, thresholds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(thresholds) == 10001
+        assert peak < 2**20
+        dense = (errors[None, :] <= thresholds[:, None]).mean(axis=1)
+        assert np.array_equal(curve.fractions, dense)
+
     def test_monotone_on_random_errors(self, rng):
         curve = error_curve(rng.uniform(0.0, 0.4, size=200))
         assert (np.diff(curve.fractions) >= 0).all()

@@ -122,6 +122,8 @@ class TestMechanics:
         ({"max_outer": 0}, "max_outer must be positive"),
         ({"max_outer": float("nan")}, "max_outer must be an integer, got nan"),
         ({"max_outer": 2.5}, "max_outer must be an integer, got 2.5"),
+        ({"weights": -np.ones((4, 4))}, "weights must be finite and nonnegative"),
+        ({"weights": np.full((4, 4), np.nan)}, "weights must be finite and nonnegative"),
     ])
     def test_loop_settings_rejected(self, rng, setting, message):
         A = rng.standard_normal((6, 4))

@@ -530,7 +530,7 @@ class TestHeaderFaults:
         path.write_text(text)
         with pytest.raises(MeshParseError) as got:
             load_mesh(path)
-        assert str(got.value) == message
+        assert str(got.value) == f"{path}: {message}"
 
 
 READERS = {"off": (mesh_module._parse_off, _oracles.parse_off),

@@ -14,7 +14,6 @@ from shapecorr import (
     default_weights,
     detect_stable_regions,
     eigenbasis,
-    objective,
     prox_l21_rows,
     prox_weighted_l1,
     region_coefficients,
@@ -166,7 +165,7 @@ class TestObjective:
         O = np.array([[0.5, 0.0], [0.0, 0.0]])
         W = np.ones((2, 2))
         # residual [[0.5, 0], [0, 1]]; quad 0.5*(0.25+1); l1 2; rows 0.5
-        got = objective(A, B, C, O, W, lam=0.3, mu=2.0)
+        got = _oracles.objective(A, B, C, O, W, lam=0.3, mu=2.0)
         assert got == pytest.approx(0.5 * 1.25 + 0.3 * 2.0 + 2.0 * 0.5)
 
     def test_resolve_penalties_formula(self):
@@ -285,7 +284,18 @@ class TestSolver:
          "dictionary and target must be 2-d"),
         (lambda: solve_robust_sparse_coding(np.zeros((0, 5)), np.zeros((0, 5))),
          r"empty coefficient set: shapes \(0, 5\) and \(0, 5\)"),
-    ], ids=["prox-negative-step", "1-d-dictionary", "1-d-target", "empty"])
+        # a negative weight makes the l1 term concave: no minimum to find
+        (lambda: solve_robust_sparse_coding(
+            np.ones((8, 4)), np.ones((8, 4)), -np.ones((4, 4)),
+            SolverOptions(lam=0.5, mu=1.0)), "weights must be finite and nonnegative"),
+        (lambda: solve_robust_sparse_coding(
+            np.ones((8, 4)), np.ones((8, 4)), np.full((4, 4), np.nan)),
+         "weights must be finite and nonnegative"),
+        (lambda: solve_robust_sparse_coding(
+            np.ones((8, 4)), np.ones((8, 4)), np.full((4, 4), np.inf)),
+         "weights must be finite and nonnegative"),
+    ], ids=["prox-negative-step", "1-d-dictionary", "1-d-target", "empty",
+            "negative-weights", "nan-weights", "inf-weights"])
     def test_input_checks(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
@@ -319,9 +329,9 @@ class TestAgainstJointOracle:
                 A, B, W, SolverOptions(tol=1e-14, max_iter=50000))
             C, O = _oracles.solve_joint_pursuit(A, B, W, res.lam, res.mu,
                                                 tol=1e-14, max_iter=200000)
-            ours = objective(A, B, res.functional_map, res.outliers, W,
-                             res.lam, res.mu)
-            joint = objective(A, B, C, O, W, res.lam, res.mu)
+            ours = _oracles.objective(A, B, res.functional_map, res.outliers,
+                                      W, res.lam, res.mu)
+            joint = _oracles.objective(A, B, C, O, W, res.lam, res.mu)
             assert ours <= joint + 1e-9 * abs(joint)
 
     def test_returned_pair_is_stationary(self, rng):
@@ -353,8 +363,8 @@ class TestAgainstJointOracle:
         A, B = random_problem(rng)
         W = default_weights(6)
         res = solve_robust_sparse_coding(A, B, W)
-        joint = objective(A, B, res.functional_map, res.outliers, W,
-                          res.lam, res.mu)
+        joint = _oracles.objective(A, B, res.functional_map, res.outliers,
+                                   W, res.lam, res.mu)
         assert res.objective_trace[-1] == pytest.approx(joint, rel=1e-12)
 
 
