@@ -17,6 +17,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
+from .mesh import _index_vector
+
 __all__ = [
     "Assignment",
     "AssignmentInfeasibleError",
@@ -38,16 +40,12 @@ class Assignment:
     num_cols: int
 
     def __post_init__(self):
-        cols = np.ascontiguousarray(self.cols, dtype=np.int64)
-        object.__setattr__(self, "cols", cols)
-        if cols.ndim != 1 or len(cols) == 0:
-            raise ValueError("cols must be a nonempty 1-d index array")
-        if len(cols) > self.num_cols:
+        rows = np.size(self.cols)
+        if rows > self.num_cols:
             raise ValueError(
-                f"{len(cols)} rows cannot map injectively into "
-                f"{self.num_cols} columns")
-        if cols.min() < 0 or cols.max() >= self.num_cols:
-            raise ValueError("column index out of range")
+                f"{rows} rows cannot map injectively into {self.num_cols} columns")
+        cols = _index_vector(self.cols, self.num_cols, "column")
+        object.__setattr__(self, "cols", cols)
         if len(np.unique(cols)) != len(cols):
             raise ValueError("columns must be distinct (injective map)")
         cols.setflags(write=False)

@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import geodesic_distance_matrix, save_mesh, shape_diameter
-from .refine import _index_vector
+from .mesh import _index_vector, geodesic_distance_matrix, save_mesh, shape_diameter
 
 __all__ = [
     "ErrorCurve",
@@ -73,15 +72,6 @@ def _threshold_grid(top=0.25, step=0.01):
 DEFAULT_THRESHOLDS = _threshold_grid()
 
 
-def _indices(point_map, m):
-    """A point map's (or raw array's) target vertices, each in [0, m)."""
-    indices = _index_vector(getattr(point_map, "indices", point_map))
-    if indices.min() < 0 or indices.max() >= m:
-        raise ValueError(
-            f"point map index out of range for target mesh with {m} vertices")
-    return indices
-
-
 def correspondence_error(point_map, truth, mesh_y, diameter=None):
     """Normalized geodesic error of each source vertex.
 
@@ -109,10 +99,8 @@ def correspondence_error(point_map, truth, mesh_y, diameter=None):
     and the radii move memory and time, never an error.
     """
     m = mesh_y.num_vertices
-    predicted, expected = _indices(point_map, m), _indices(truth, m)
-    if predicted.shape != expected.shape:
-        raise ValueError(
-            f"map has {predicted.shape[0]} entries, truth has {expected.shape[0]}")
+    predicted = _index_vector(getattr(point_map, "indices", point_map), m, "point map")
+    expected = _index_vector(getattr(truth, "indices", truth), m, "truth", len(predicted))
     if diameter is None:
         diameter = shape_diameter(mesh_y)
     if not 0 < diameter < np.inf:
@@ -189,11 +177,8 @@ def export_colored_ply(mesh_x, mesh_y, point_map, path_x, path_y):
     RGB; the source pulls each vertex's color from its mapped target
     vertex, so corresponding patches share colors.
     """
-    indices = _indices(point_map, mesh_y.num_vertices)
-    if len(indices) != mesh_x.num_vertices:
-        raise ValueError(
-            f"point map covers {len(indices)} vertices, source mesh has "
-            f"{mesh_x.num_vertices}")
+    indices = _index_vector(getattr(point_map, "indices", point_map),
+                            mesh_y.num_vertices, "point map", mesh_x.num_vertices)
     v = mesh_y.vertices
     span = v.max(axis=0) - v.min(axis=0)
     span[span == 0] = 1.0  # flat axes map to a constant channel

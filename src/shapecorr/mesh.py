@@ -44,6 +44,9 @@ __all__ = [
 _FLOAT_FMT = "%.17g"
 _VERTEX_FMT = " ".join([_FLOAT_FMT] * 3)
 
+# one past the largest vertex index an int64 holds
+_INDEX_END = 2**63
+
 
 class MeshParseError(ValueError):
     """A mesh file does not follow its format grammar."""
@@ -184,11 +187,7 @@ def geodesic_distance_matrix(mesh, sources, limit=np.inf):
     Vertices farther than ``limit`` from a source read ``inf`` in its row;
     the distances within it are the same as without a limit.
     """
-    sources = np.asarray(sources, dtype=np.int64)
-    if sources.ndim != 1 or len(sources) == 0:
-        raise ValueError("sources must be a nonempty 1-d index array")
-    if sources.min() < 0 or sources.max() >= mesh.num_vertices:
-        raise ValueError("source vertex index out of range")
+    sources = _index_vector(sources, mesh.num_vertices, "source")
     # the edge graph is symmetric, so its directed search is the same graph
     # without the transpose and two-sided edge scans of the undirected one
     return csgraph.dijkstra(mesh.edge_graph, directed=True, indices=sources,
@@ -222,6 +221,35 @@ def _positive_int(value, name):
         raise ValueError(f"{name} must be positive")
 
 
+def _index_vector(values, n, name, count=None):
+    """``values`` as a nonempty 1-d int64 vector of ``count`` entries when
+    given, each in [0, n), or in [0, 2**63) when ``n`` is None.
+
+    Entries a cast would truncate (0.5) or make up (NaN, inf, a bool) are
+    refused, and the range is checked before the cast: numpy holds
+    ``[0, 2**63]`` as float64 and ``[0, 10**20]`` as Python ints.
+    """
+    raw = np.asarray(values)
+    if raw.ndim != 1 or raw.size == 0:
+        raise ValueError(
+            f"{name} indices must be a nonempty 1-d array, got shape {raw.shape}")
+    if count is not None and len(raw) != count:
+        raise ValueError(f"{name} has {len(raw)} entries, expected {count}")
+    kind = raw.dtype.kind
+    if not (kind in "iu"
+            or kind == "f" and np.isfinite(raw).all() and (np.trunc(raw) == raw).all()
+            or kind == "O" and all(isinstance(v, numbers.Integral)
+                                   and not isinstance(v, bool) for v in raw)):
+        raise ValueError(f"{name} indices must be integers")
+    low, high = int(raw.min()), int(raw.max())
+    if n is None and low < 0:
+        raise ValueError(f"{name} indices must be nonnegative, got {low}")
+    end = _INDEX_END if n is None else n
+    if low < 0 or high >= end:
+        raise ValueError(f"{name} index {low if low < 0 else high} out of range [0, {end})")
+    return np.ascontiguousarray(raw, dtype=np.int64)
+
+
 # -- file formats ----------------------------------------------------------
 
 
@@ -233,8 +261,8 @@ def _format(path, format):
         return fmt
     if format:
         raise ValueError(f"unknown mesh format {format!r}; expected one of {formats}")
-    raise ValueError(f"cannot infer mesh format from extension {fmt!r}; "
-                     f"pass format= one of {formats}")
+    raise ValueError(f"{path}: cannot infer mesh format from extension {fmt!r}; "
+                     f"expected one of {formats}")
 
 
 def load_mesh(path, format=None):
@@ -352,6 +380,8 @@ def _faces(lines, count):
             tris[i] = [int(t) for t in tokens[1:]]
         except ValueError:
             raise MeshParseError(f"line {lineno}: non-integer index in face {i}") from None
+        except OverflowError:
+            raise MeshParseError(f"line {lineno}: index out of range in face {i}") from None
     return tris
 
 
@@ -437,6 +467,9 @@ def _parse_obj_lines(lines):
                     raise MeshParseError(
                         f"line {lineno}: face {len(tris)} uses non-positive "
                         f"index {idx}; only 1-based absolute indices are supported")
+                if idx > _INDEX_END:  # idx - 1 must fit in int64
+                    raise MeshParseError(
+                        f"line {lineno}: index out of range in face {len(tris)}")
                 face.append(idx - 1)
             tris.append(face)
         # all other directives (vn, vt, usemtl, ...) are ignored

@@ -146,12 +146,14 @@ def resolve_penalties(coeffs_x, coeffs_y, lam=None, mu=None):
     ``coeffs_x``, the default mu 0.3 times the median row norm of
     ``coeffs_y``; both stay balanced against the data term as the region
     count grows.  A given value passes through unchanged.  Either set
-    empty raises ValueError.
+    empty or not finite raises ValueError.
     """
     A = np.asarray(coeffs_x, dtype=np.float64)
     B = np.asarray(coeffs_y, dtype=np.float64)
     if not (A.size and B.size):
         raise ValueError(f"empty coefficient set: shapes {A.shape} and {B.shape}")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("coefficients must be finite")
     if lam is None:
         lam = 0.3 * float(np.abs(A.T @ A).max()) / A.shape[0]
     if mu is None:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import _Lines, _positive_int, _spread_sample
+from .mesh import _INDEX_END, _index_vector, _Lines, _positive_int, _spread_sample
 
 __all__ = [
     "PointMap",
@@ -36,20 +36,6 @@ __all__ = [
 ]
 
 
-def _index_vector(values):
-    """``values`` as a nonempty int64 vector; refuses entries that a cast
-    would truncate (0.5, 1.7) or make up (NaN, inf)."""
-    raw = np.asarray(values)
-    if raw.ndim != 1 or raw.size == 0:
-        raise ValueError(
-            f"point map must be a nonempty 1-d array, got shape {raw.shape}")
-    if raw.dtype.kind not in "iu" and not (
-            raw.dtype.kind == "f" and np.isfinite(raw).all()
-            and (np.trunc(raw) == raw).all()):
-        raise ValueError("point map indices must be integers")
-    return np.ascontiguousarray(raw, dtype=np.int64)
-
-
 @dataclass(frozen=True)
 class PointMap:
     """Dense vertex correspondence: entry i is the target vertex of source i."""
@@ -57,10 +43,8 @@ class PointMap:
     indices: np.ndarray
 
     def __post_init__(self):
-        indices = _index_vector(self.indices)
+        indices = _index_vector(self.indices, None, "point map")
         object.__setattr__(self, "indices", indices)
-        if indices.min() < 0:
-            raise ValueError("point map indices must be nonnegative")
         indices.setflags(write=False)
 
     def __len__(self):
@@ -178,7 +162,10 @@ def orthogonal_procrustes(targets, sources):
 
 def point_map_from_functional(basis_x, basis_y, functional_map):
     """Total source-to-target map: nearest transported row per source row."""
-    transported = basis_y.functions @ np.asarray(functional_map).T
+    functional_map = np.asarray(functional_map, dtype=np.float64)
+    if not np.isfinite(functional_map).all():
+        raise ValueError("functional map must be finite")
+    transported = basis_y.functions @ functional_map.T
     return PointMap(indices=nearest_rows(transported, basis_x.functions))
 
 
@@ -209,6 +196,8 @@ def refine_icp(basis_x, basis_y, initial_map, max_iters=30):
     n = basis_x.size
     if C.shape != (n, n):
         raise ValueError(f"initial map must be ({n}, {n}), got {C.shape}")
+    if not np.isfinite(C).all():
+        raise ValueError("initial map must be finite")
     _positive_int(max_iters, "max_iters")
     phi = basis_x.functions
     psi = basis_y.functions[_spread_sample(basis_y.num_vertices, _FIT_ROWS)]
@@ -245,6 +234,7 @@ def load_point_map(path, num_targets=None, num_sources=None):
     it.  When ``num_targets`` is given, indices are validated against it;
     when ``num_sources`` is given, so is the number of entries.
     """
+    end = _INDEX_END if num_targets is None else num_targets
     indices = []
     for lineno, line in _Lines(Path(path).read_text(), cut="#").lines:
         try:
@@ -254,13 +244,10 @@ def load_point_map(path, num_targets=None, num_sources=None):
         if index < 0:
             raise ValueError(f"{path}:{lineno}: vertex index must be nonnegative, "
                              f"got {index}")
+        if index >= end:
+            raise ValueError(f"{path}:{lineno}: vertex index {index} out of range "
+                             f"[0, {end})")
         indices.append(index)
     if not indices:
         raise ValueError(f"{path}: empty point map")
-    arr = np.array(indices, dtype=np.int64)
-    if num_sources is not None and len(arr) != num_sources:
-        raise ValueError(f"{path}: point map has {len(arr)} entries, expected {num_sources}")
-    if num_targets is not None and arr.max() >= num_targets:
-        raise ValueError(
-            f"{path}: index {arr.max()} out of range for {num_targets} vertices")
-    return PointMap(indices=arr)
+    return PointMap(_index_vector(indices, num_targets, f"{path}: point map", num_sources))

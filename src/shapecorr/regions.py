@@ -365,6 +365,9 @@ def load_regions(path, mesh):
             indices = np.unique(np.array(line.split(), dtype=np.int64))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad vertex index: {exc}") from None
+        except OverflowError:
+            raise ValueError(f"{path}:{lineno}: region {len(regions)} references a vertex "
+                             f"index out of range, mesh has {mesh.num_vertices}") from None
         if indices[0] < 0 or indices[-1] >= mesh.num_vertices:
             bad = indices[0] if indices[0] < 0 else indices[-1]
             raise ValueError(

@@ -487,6 +487,8 @@ def parse_off(text):
             tris[i] = [int(t) for t in tokens[1:]]
         except ValueError:
             raise MeshParseError(f"line {lineno}: non-integer index in face {i}") from None
+        except OverflowError:
+            raise MeshParseError(f"line {lineno}: index out of range in face {i}") from None
     return verts, tris
 
 
@@ -513,6 +515,9 @@ def parse_obj(text):
                     raise MeshParseError(
                         f"line {lineno}: face {len(tris)} uses non-positive "
                         f"index {idx}; only 1-based absolute indices are supported")
+                if idx > 2**63:  # idx - 1 is stored as int64
+                    raise MeshParseError(
+                        f"line {lineno}: index out of range in face {len(tris)}")
                 face.append(idx - 1)
             tris.append(face)
     return (np.asarray(verts, dtype=np.float64).reshape(-1, 3),
@@ -584,6 +589,9 @@ def parse_ply(text):
                 except ValueError:
                     raise MeshParseError(
                         f"line {lineno}: non-integer index in face {i}") from None
+                except OverflowError:
+                    raise MeshParseError(
+                        f"line {lineno}: index out of range in face {i}") from None
         else:
             for i in range(count):  # skip unknown elements
                 next_line(f"{name} {i}")

@@ -36,6 +36,13 @@ class TestAssignment:
         with pytest.raises(ValueError, match="injectively"):
             Assignment(cols=[0, 1, 2], num_cols=2)
 
+    @pytest.mark.parametrize("cols", [[0.5, 2.9], [True, False], [0.0, np.nan]],
+                             ids=["fraction", "bool", "nan"])
+    def test_non_integer_columns_rejected(self, cols):
+        # a cast would keep [0.5, 2.9] as the columns [0, 2]
+        with pytest.raises(ValueError, match="column indices must be integers"):
+            Assignment(cols=cols, num_cols=4)
+
     def test_immutable(self):
         a = Assignment(cols=[0, 1], num_cols=2)
         with pytest.raises(ValueError):

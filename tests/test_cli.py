@@ -343,7 +343,9 @@ class TestPipeline:
 # the env config with an unknown region_source, {regions} a region file
 # with a bad index on line 2, {b12} the target basis cache cut to 12
 # functions, {bnan} the target basis cache with a NaN function value,
-# {nanmap} a 20 x 20 functional map with one NaN entry
+# {nanmap} a 20 x 20 functional map with one NaN entry, {hugemap} and
+# {hugeregions} a point map and a region file with an index beyond int64 on
+# line 2, {stl} a file whose extension names no mesh format
 FAILURES = [
     ("run --config {cfg} --out-dir {file}", 2, "stage output: [Errno 17]"),
     ("run --config {cfg} --out-dir {file}/out", 2, "stage output: [Errno 20]"),
@@ -412,6 +414,15 @@ FAILURES = [
      "stage refine: {bx} and {b12}: basis sizes differ: 20 vs 12"),
     ("eval --map {neg} --truth {truth} --mesh-y {y} -o {tmp}/ev", 2,
      "stage eval: {neg}:3: vertex index must be nonnegative, got -1"),
+    ("eval --map {hugemap} --truth {truth} --mesh-y {y} -o {tmp}/ev", 2,
+     "stage eval: {hugemap}:2: vertex index 99999999999999999999 out of range [0, 162)"),
+    ("run --config {cfg} --out-dir {tmp}/out --regions-x {hugeregions} "
+     "--regions-y {hugeregions}", 2, "stage regions: {hugeregions}:2: region 1 references "
+     "a vertex index out of range, mesh has 162"),
+    ("run --config {cfg} --out-dir {tmp}/out --mesh-y {stl}", 2,
+     "stage load: {stl}: cannot infer mesh format from extension 'stl'"),
+    ("export --mesh-x {x} --mesh-y {stl} --map {map} -o {tmp}/ex", 2,
+     "stage export: {stl}: cannot infer mesh format from extension 'stl'"),
     ("run --config {cfg} --out-dir {tmp}/out --truth {short}", 2,
      "stage evaluate: {short}: point map has 161 entries, expected 162"),
     ("eval --map {short} --truth {truth} --mesh-y {y} -o {tmp}/ev", 2,
@@ -528,6 +539,9 @@ class TestMain:
         np.savetxt(tmp_path / "small.txt", np.eye(5))
         (tmp_path / "empty.txt").write_text("")
         (tmp_path / "neg.txt").write_text("0\n# one below the first vertex\n-1\n")
+        (tmp_path / "huge.txt").write_text("0\n99999999999999999999\n")
+        (tmp_path / "hugeregions.txt").write_text("0 1 2\n3 99999999999999999999\n")
+        (tmp_path / "y.stl").write_text("solid y\nendsolid y\n")
         truth_lines = (env["tmp"] / "truth.txt").read_text().splitlines(keepends=True)
         (tmp_path / "short.txt").write_text("".join(truth_lines[:-1]))
         config_text = (env["tmp"] / "config.cfg").read_text()
@@ -556,7 +570,9 @@ class TestMain:
                  "b12": tmp_path / "b12.bin", "bnan": tmp_path / "bnan.bin",
                  "nanmap": tmp_path / "nanmap.txt", "neg": tmp_path / "neg.txt",
                  "short": tmp_path / "short.txt", "badfmap": tmp_path / "badfmap.txt",
-                 "ragged": tmp_path / "ragged.txt", "badmesh": tmp_path / "bad.off"}
+                 "ragged": tmp_path / "ragged.txt", "badmesh": tmp_path / "bad.off",
+                 "hugemap": tmp_path / "huge.txt",
+                 "hugeregions": tmp_path / "hugeregions.txt", "stl": tmp_path / "y.stl"}
         bases = []
         mesh_basis = cli._mesh_basis
         monkeypatch.setattr(cli, "_mesh_basis",

@@ -62,7 +62,7 @@ class TestCorrespondenceError:
         assert two == pytest.approx(one / 2.0)
 
     def test_validation(self, tetra):
-        with pytest.raises(ValueError, match="entries"):
+        with pytest.raises(ValueError, match="truth has 1 entries, expected 2"):
             correspondence_error(np.array([0, 1]), np.array([0]), tetra)
         with pytest.raises(ValueError, match="out of range"):
             correspondence_error(np.array([0, 9]), np.array([0, 1]), tetra)
@@ -85,8 +85,8 @@ class TestCorrespondenceError:
         ([0.5, 1.7], "must be integers"),
         ([0.0, np.nan], "must be integers"),
         ([0.0, np.inf], "must be integers"),
-        ([], r"nonempty 1-d array, got shape \(0,\)"),
-        ([[0, 1]], r"nonempty 1-d array, got shape \(1, 2\)"),
+        ([], r"indices must be a nonempty 1-d array, got shape \(0,\)"),
+        ([[0, 1]], r"indices must be a nonempty 1-d array, got shape \(1, 2\)"),
     ], ids=["fraction", "nan", "inf", "empty", "2-d"])
     def test_malformed_map_rejected(self, ico, bad, message):
         # a cast would truncate [0.5, 1.7] to the truth [0, 1] and score 0
@@ -351,7 +351,7 @@ class TestExport:
         assert (colors[:, 2] == colors[0, 2]).all()
 
     def test_validation(self, tetra, tmp_path):
-        with pytest.raises(ValueError, match="covers"):
+        with pytest.raises(ValueError, match="point map has 1 entries, expected 4"):
             export_colored_ply(tetra, tetra, PointMap(np.array([0])),
                                tmp_path / "x.ply", tmp_path / "y.ply")
         with pytest.raises(ValueError, match="out of range"):

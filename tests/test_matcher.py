@@ -130,6 +130,18 @@ class TestMechanics:
         with pytest.raises(ValueError, match=message):
             match(A, rng.standard_normal((8, 4)), **setting)
 
+    @pytest.mark.parametrize("coeffs_x, coeffs_y, options", [
+        (np.full((3, 5), np.nan), np.ones((4, 5)), None),
+        (np.ones((3, 5)), np.full((4, 5), np.inf), None),
+        (np.full((5, 5), np.inf), np.ones((4, 5)), None),
+        (np.ones((3, 5)), np.vstack([np.ones((3, 5)), np.full((1, 5), np.nan)]),
+         SolverOptions(lam=0.1, mu=1.0)),
+    ], ids=["nan-source", "inf-target", "inf-source-swapped", "nan-row-given-penalties"])
+    def test_non_finite_coefficients_rejected(self, coeffs_x, coeffs_y, options):
+        # blamed before on lam, on mu, or on a diverged objective
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            match(coeffs_x, coeffs_y, options=options)
+
     def test_pursuit_cap_flags_unconverged(self, coeffs3):
         # the outer loop settles, but its last pursuit stopped at max_iter
         res = match(coeffs3, coeffs3, options=SolverOptions(max_iter=1))

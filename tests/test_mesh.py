@@ -172,7 +172,20 @@ class TestGeodesics:
 
     @pytest.mark.parametrize("sources", [[], [[0, 1]]], ids=["empty", "2-d"])
     def test_sources_must_be_a_nonempty_vector(self, tetra, sources):
-        with pytest.raises(ValueError, match="nonempty 1-d index array"):
+        with pytest.raises(ValueError, match="nonempty 1-d array"):
+            geodesic_distance_matrix(tetra, sources)
+
+    @pytest.mark.parametrize("sources", [[0.7], [True], [0.0, np.nan], [np.inf]],
+                             ids=["fraction", "bool", "nan", "inf"])
+    def test_sources_must_be_integers(self, tetra, sources):
+        # a cast would read [0.7] as vertex 0 and [True] as vertex 1
+        with pytest.raises(ValueError, match="source indices must be integers"):
+            geodesic_distance_matrix(tetra, sources)
+
+    @pytest.mark.parametrize("sources", [[0, 2**63], [0, 10**20]], ids=["float", "object"])
+    def test_source_beyond_int64_not_cast(self, tetra, sources):
+        # numpy holds these as float64 and as Python ints; a cast would wrap
+        with pytest.raises(ValueError, match="out of range"):
             geodesic_distance_matrix(tetra, sources)
 
     def test_matrix_rows_match_fields(self, ico):
@@ -487,6 +500,7 @@ MALFORMED_TEXTS = {
     "ply-hash-in-body": ("ply", PLY_HEAD + "0 0 0 # note\n1 0 0\n0 1 0\n3 0 1 2\n"),
     "ply-vertex-2-numbers": ("ply", PLY_HEAD + "0 0 0\n1 0\n0 1 0\n3 0 1 2\n"),
     "ply-face-index-2.0": ("ply", PLY_HEAD + TRI + "3 0 1 2.0\n"),
+    "ply-face-index-huge": ("ply", PLY_HEAD + TRI + "3 0 1 99999999999999999999\n"),
     "ply-quad": ("ply", PLY_HEAD + TRI + "4 0 1 2 2\n"),
     "ply-ends-in-vertices": ("ply", PLY_HEAD + "0 0 0\n"),
     "ply-ends-in-faces": ("ply", PLY_HEAD + TRI),
@@ -526,6 +540,29 @@ class TestHeaderFaults:
     @pytest.mark.parametrize("name", HEADER_FAULTS)
     def test_header_fault_is_parse_error(self, name, tmp_path):
         fmt, text, message = HEADER_FAULTS[name]
+        path = tmp_path / f"m.{fmt}"
+        path.write_text(text)
+        with pytest.raises(MeshParseError) as got:
+            load_mesh(path)
+        assert str(got.value) == f"{path}: {message}"
+
+
+# face indices too large for int64: (format, text, message of the
+# MeshParseError), which escaped the readers as a bare OverflowError
+INDEX_OVERFLOWS = {
+    "off": ("off", f"OFF\n3 1 0\n{TRI}3 0 1 99999999999999999999\n",
+            "line 6: index out of range in face 0"),
+    "obj": ("obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n",
+            "line 4: index out of range in face 0"),
+    "ply": ("ply", PLY_HEAD + TRI + "3 0 1 -99999999999999999999\n",
+            "line 13: index out of range in face 0"),
+}
+
+
+class TestIndexOverflow:
+    @pytest.mark.parametrize("name", INDEX_OVERFLOWS)
+    def test_overflow_is_parse_error(self, name, tmp_path):
+        fmt, text, message = INDEX_OVERFLOWS[name]
         path = tmp_path / f"m.{fmt}"
         path.write_text(text)
         with pytest.raises(MeshParseError) as got:

@@ -255,8 +255,16 @@ class TestSolver:
     def test_nan_input_raises(self, rng):
         A, B = random_problem(rng, 4, 3)
         B[0, 0] = np.nan
-        with pytest.raises(FloatingPointError, match="diverged"):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
             solve_robust_sparse_coding(A, B)
+
+    def test_overflowing_objective_raises(self, rng):
+        # finite coefficients whose residual norms overflow float64
+        A, B = random_problem(rng, 4, 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="diverged at iteration 1"):
+                solve_robust_sparse_coding(A, np.full_like(B, 1e308),
+                                           options=SolverOptions(lam=0.1, mu=1.0))
 
     def test_max_iter_reached_flags_unconverged(self, rng):
         A, B = random_problem(rng)
@@ -294,8 +302,17 @@ class TestSolver:
         (lambda: solve_robust_sparse_coding(
             np.ones((8, 4)), np.ones((8, 4)), np.full((4, 4), np.inf)),
          "weights must be finite and nonnegative"),
+        # named as such, not blamed on a penalty or a divergence
+        (lambda: solve_robust_sparse_coding(
+            np.full((8, 4), np.nan), np.ones((8, 4))), "coefficients must be finite"),
+        (lambda: solve_robust_sparse_coding(
+            np.ones((8, 4)), np.vstack([np.ones((7, 4)), np.full((1, 4), np.nan)]),
+            options=SolverOptions(lam=0.5, mu=1.0)), "coefficients must be finite"),
+        (lambda: resolve_penalties(np.ones((3, 4)), np.full((3, 4), np.inf)),
+         "coefficients must be finite"),
     ], ids=["prox-negative-step", "1-d-dictionary", "1-d-target", "empty",
-            "negative-weights", "nan-weights", "inf-weights"])
+            "negative-weights", "nan-weights", "inf-weights", "nan-dictionary",
+            "nan-target-row", "inf-penalty-source"])
     def test_input_checks(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()

@@ -2,6 +2,7 @@
 
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,16 @@ class TestRefine:
             refine_icp(creature3_basis, small, np.eye(20))
         with pytest.raises(ValueError, match="initial map must be"):
             refine_icp(creature3_basis, creature3_basis, np.eye(3))
+        for value in (np.nan, np.inf):
+            # checked before any product: no RuntimeWarning, no blame on
+            # the points or queries of nearest_rows
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="initial map must be finite"):
+                    refine_icp(creature3_basis, creature3_basis, np.full((20, 20), value))
+                with pytest.raises(ValueError, match="functional map must be finite"):
+                    point_map_from_functional(creature3_basis, creature3_basis,
+                                              np.full((20, 20), value))
         with pytest.raises(ValueError, match="max_iters"):
             refine_icp(creature3_basis, creature3_basis, np.eye(20), max_iters=0)
         for count in (2.5, float("nan"), True):
@@ -381,6 +392,14 @@ class TestIO:
         path.write_text("0\n7\n")
         with pytest.raises(ValueError, match="out of range"):
             load_point_map(path, num_targets=7)
+
+    @pytest.mark.parametrize("text", ["0\n99999999999999999999\n",
+                                      "0\n9223372036854775808\n"], ids=["huge", "2**63"])
+    def test_beyond_int64_names_line(self, tmp_path, text):
+        path = tmp_path / "map.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r":2: vertex index \d+ out of range"):
+            load_point_map(path)
 
     def test_negative_rejected(self, tmp_path):
         path = tmp_path / "map.txt"

@@ -586,6 +586,13 @@ class TestRegionFiles:
         with pytest.raises(ValueError, match=":1: bad vertex index.*'2.0'"):
             load_regions(path, tetra)
 
+    def test_beyond_int64_names_line(self, tetra, tmp_path):
+        path = tmp_path / "regions.txt"
+        path.write_text("0 1\n2 99999999999999999999\n")
+        with pytest.raises(ValueError, match=":2: region 1 references a vertex index out "
+                                             "of range, mesh has 4"):
+            load_regions(path, tetra)
+
     def test_out_of_range_named(self, tetra, tmp_path):
         path = tmp_path / "regions.txt"
         path.write_text("0 1\n2 9\n")
