@@ -51,13 +51,13 @@ class ErrorCurve:
             raise ValueError("thresholds and fractions must be matching 1-d arrays")
         if thresholds.size == 0:
             raise ValueError("thresholds must not be empty")
-        if (np.diff(thresholds) <= 0).any():
+        if not (np.diff(thresholds) > 0).all():
             raise ValueError("thresholds must be strictly ascending")
-        if thresholds[0] < 0 or thresholds[-1] > 0.5:
+        if not (thresholds[0] >= 0 and thresholds[-1] <= 0.5):
             raise ValueError("thresholds must lie in [0, 0.5] (fractions of diameter)")
-        if (fractions < 0).any() or (fractions > 1).any():
+        if not ((fractions >= 0) & (fractions <= 1)).all():
             raise ValueError("fractions must lie in [0, 1]")
-        if (np.diff(fractions) < 0).any():
+        if not (np.diff(fractions) >= 0).all():
             raise ValueError("fractions must be nondecreasing")
         thresholds.setflags(write=False)
         fractions.setflags(write=False)

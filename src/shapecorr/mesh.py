@@ -14,9 +14,10 @@ reader its ``v`` rows and its ``f`` rows.  A block that is cut short or
 does not parse as one table is read again line by line, which raises
 the error that names the line and the element (and accepts what
 Python's ``int``/``float`` accept but numpy does not, such as ``1_0``).
-The writers format each block with a single ``%`` call.  Arrays read and
-text written match, bit for bit, those of the line-wise routes kept in
-``tests/_oracles.py``.
+The writers format each block with a single ``%`` call.  PLY vertex colors
+are written for ``export``, each an integer in [0, 255], and not read: the
+readers return geometry alone.  Arrays read and text written match, bit
+for bit, those of the line-wise routes kept in ``tests/_oracles.py``.
 """
 
 from __future__ import annotations
@@ -69,25 +70,29 @@ class Mesh:
     Raises
     ------
     MeshValidationError
-        If a vertex index is out of range, a triangle has zero area, an
-        edge is shared by more than two triangles, or the mesh is not
-        connected.  The message names the offending element.
+        If a vertex index is not an integer or is out of range, a triangle
+        has zero area, an edge is shared by more than two triangles, or the
+        mesh is not connected.  The message names the offending element.
     """
 
     def __init__(self, vertices, triangles):
         vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-        triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+        triangles = np.asarray(triangles)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise MeshValidationError(
                 f"vertices must have shape (m, 3), got {vertices.shape}")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise MeshValidationError(
                 f"triangles must have shape (t, 3), got {triangles.shape}")
+        if not _integers(triangles):
+            face = next(i for i, tri in enumerate(triangles) if not _integers(tri))
+            raise MeshValidationError(f"face {face} has a non-integer vertex index: "
+                                      f"{triangles[face].tolist()}")
         if not np.isfinite(vertices).all():
             bad = int(np.flatnonzero(~np.isfinite(vertices).all(axis=1))[0])
             raise MeshValidationError(f"vertex {bad} has a non-finite coordinate")
         self.vertices = vertices
-        self.triangles = triangles
+        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self._validate()
         self.vertices.setflags(write=False)
         self.triangles.setflags(write=False)
@@ -187,6 +192,8 @@ def geodesic_distance_matrix(mesh, sources, limit=np.inf):
     Vertices farther than ``limit`` from a source read ``inf`` in its row;
     the distances within it are the same as without a limit.
     """
+    if not limit >= 0:  # NaN is not
+        raise ValueError(f"limit must be nonnegative, got {limit!r}")
     sources = _index_vector(sources, mesh.num_vertices, "source")
     # the edge graph is symmetric, so its directed search is the same graph
     # without the transpose and two-sided edge scans of the undirected one
@@ -221,6 +228,15 @@ def _positive_int(value, name):
         raise ValueError(f"{name} must be positive")
 
 
+def _integers(raw):
+    """Whether an int64 cast keeps each entry: no fraction, NaN, inf or bool."""
+    kind = raw.dtype.kind
+    return (kind in "iu"
+            or kind == "f" and np.isfinite(raw).all() and (np.trunc(raw) == raw).all()
+            or kind == "O" and all(isinstance(v, numbers.Integral)
+                                   and not isinstance(v, bool) for v in raw.flat))
+
+
 def _index_vector(values, n, name, count=None):
     """``values`` as a nonempty 1-d int64 vector of ``count`` entries when
     given, each in [0, n), or in [0, 2**63) when ``n`` is None.
@@ -235,11 +251,7 @@ def _index_vector(values, n, name, count=None):
             f"{name} indices must be a nonempty 1-d array, got shape {raw.shape}")
     if count is not None and len(raw) != count:
         raise ValueError(f"{name} has {len(raw)} entries, expected {count}")
-    kind = raw.dtype.kind
-    if not (kind in "iu"
-            or kind == "f" and np.isfinite(raw).all() and (np.trunc(raw) == raw).all()
-            or kind == "O" and all(isinstance(v, numbers.Integral)
-                                   and not isinstance(v, bool) for v in raw)):
+    if not _integers(raw):
         raise ValueError(f"{name} indices must be integers")
     low, high = int(raw.min()), int(raw.max())
     if n is None and low < 0:
@@ -273,7 +285,7 @@ def load_mesh(path, format=None):
     """
     reader = _READERS[_format(path, format)]
     try:
-        return Mesh(*reader(Path(path).read_text())[:2])
+        return Mesh(*reader(Path(path).read_text()))
     except (MeshParseError, MeshValidationError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -282,8 +294,9 @@ def save_mesh(mesh, path, format=None, colors=None):
     """Write a mesh as OFF, OBJ, or ASCII PLY.
 
     Coordinates are written with full float64 round-trip precision, so a
-    load after save reproduces them bit for bit.  ``colors`` is an (m, 3)
-    uint8 array of per-vertex RGB and is supported for PLY only.
+    load after save reproduces them bit for bit.  ``colors`` (PLY only) is
+    an (m, 3) array of per-vertex RGB for ``export``, which no reader reads
+    back; each must equal its uint8 value, an integer in [0, 255].
     """
     fmt = _format(path, format)
     if colors is not None and fmt != "ply":
@@ -410,8 +423,7 @@ def _parse_off(text):
     if len(counts) not in (2, 3):
         raise MeshParseError(f"line {lineno}: expected 'nv nf [ne]' counts")
     nv, nf = _count(counts[0], lineno), _count(counts[1], lineno)
-    verts, _ = _vertices(lines, nv, ("x", "y", "z"))
-    return verts, _faces(lines, nf)
+    return _vertices(lines, nv, ("x", "y", "z")), _faces(lines, nf)
 
 
 def _parse_obj(text):
@@ -506,16 +518,15 @@ def _parse_ply(text):
     if "vertex" not in names or "face" not in names:
         raise MeshParseError("PLY header must declare vertex and face elements")
 
-    verts = tris = colors = None
     for name, count, props in elements:
         if name == "vertex":
-            verts, colors = _vertices(lines, count, props)
+            verts = _vertices(lines, count, props)
         elif name == "face":
             tris = _faces(lines, count)
         else:  # unknown elements are skipped
             for i in range(count):
                 lines.take(f"{name} {i}")
-    return verts, tris, colors
+    return verts, tris
 
 
 def _vertices(lines, count, props):
@@ -523,24 +534,14 @@ def _vertices(lines, count, props):
         if axis not in props:
             raise MeshParseError(f"PLY vertex element lacks property {axis!r}")
     cols = [props.index(a) for a in ("x", "y", "z")]
-    has_rgb = all(c in props for c in ("red", "green", "blue"))
-    rgb_cols = [props.index(c) for c in ("red", "green", "blue")] if has_rgb else None
     values = lines.table(count, np.float64)
     if values is not None and values.shape[1] == len(props):
-        if not has_rgb:
-            return values[:, cols], None
-        rgb = values[:, rgb_cols]
-        # int() truncates toward zero, so (-1, 256) is what fits uint8
-        if ((rgb > -1) & (rgb < 256)).all():
-            return values[:, cols], rgb.astype(np.uint8)
+        return values[:, cols]
     verts = np.empty((len(lines.block), 3))
-    colors = np.empty((len(lines.block), 3), dtype=np.uint8) if has_rgb else None
     for i, lineno, tokens in lines.rescan("vertex"):
         row = _floats(tokens, len(props), lineno, f"vertex {i}")
         verts[i] = [row[c] for c in cols]
-        if has_rgb:
-            colors[i] = [int(row[c]) for c in rgb_cols]
-    return verts, colors
+    return verts
 
 
 def _format_rows(fmt, rows):
@@ -560,15 +561,6 @@ def _emit_obj(mesh):
 
 
 def _emit_ply(mesh, colors=None):
-    if colors is not None:
-        colors = np.asarray(colors)
-        if colors.shape != (mesh.num_vertices, 3):
-            raise ValueError(
-                f"colors must have shape ({mesh.num_vertices}, 3), got {colors.shape}")
-        if colors.dtype != np.uint8:
-            if colors.min() < 0 or colors.max() > 255:
-                raise ValueError("colors must be 8-bit values in [0, 255]")
-            colors = colors.astype(np.uint8)
     header = [
         "ply",
         "format ascii 1.0",
@@ -580,8 +572,15 @@ def _emit_ply(mesh, colors=None):
     if colors is None:
         vertices = _format_rows(_VERTEX_FMT, mesh.vertices)
     else:
+        colors = np.asarray(colors)
+        if colors.shape != (mesh.num_vertices, 3):
+            raise ValueError(
+                f"colors must have shape ({mesh.num_vertices}, 3), got {colors.shape}")
+        # each color must equal its uint8 value: NaN, 1.5 and 300 do not
+        if not np.isin(colors, np.arange(256)).all():
+            raise ValueError("colors must be integers in [0, 255]")
         header += ["property uchar red", "property uchar green", "property uchar blue"]
-        # uint8 channels are exact in float64 and print the same under %d
+        # 8-bit channels are exact in float64 and print as integers under %d
         vertices = _format_rows(_VERTEX_FMT + " %d %d %d",
                                 np.hstack([mesh.vertices, colors]))
     header += [
@@ -592,7 +591,7 @@ def _emit_ply(mesh, colors=None):
     return "\n".join(header) + "\n" + vertices + _format_rows("3 %d %d %d", mesh.triangles)
 
 
-# format name -> text parser, whose first two results are the arrays
+# format name -> text parser returning (vertices, triangles)
 _READERS = {"off": _parse_off, "obj": _parse_obj, "ply": _parse_ply}
 # format name -> text writer
 _WRITERS = {"off": _emit_off, "obj": _emit_obj, "ply": _emit_ply}

@@ -559,23 +559,18 @@ def parse_ply(text):
     if "vertex" not in names or "face" not in names:
         raise MeshParseError("PLY header must declare vertex and face elements")
 
-    verts = tris = colors = None
+    verts = tris = None
     for name, count, props in elements:
         if name == "vertex":
             for axis in ("x", "y", "z"):
                 if axis not in props:
                     raise MeshParseError(f"PLY vertex element lacks property {axis!r}")
             cols = [props.index(a) for a in ("x", "y", "z")]
-            has_rgb = all(c in props for c in ("red", "green", "blue"))
-            rgb_cols = [props.index(c) for c in ("red", "green", "blue")] if has_rgb else None
             verts = np.empty((count, 3))
-            colors = np.empty((count, 3), dtype=np.uint8) if has_rgb else None
             for i in range(count):
                 lineno, line = next_line(f"vertex {i}")
                 values = _floats(line.split(), len(props), lineno, f"vertex {i}")
                 verts[i] = [values[c] for c in cols]
-                if has_rgb:
-                    colors[i] = [int(values[c]) for c in rgb_cols]
         elif name == "face":
             tris = np.empty((count, 3), dtype=np.int64)
             for i in range(count):
@@ -595,7 +590,17 @@ def parse_ply(text):
         else:
             for i in range(count):  # skip unknown elements
                 next_line(f"{name} {i}")
-    return verts, tris, colors
+    return verts, tris
+
+
+def ply_colors(text):
+    """The red, green and blue columns of an ASCII PLY that ``emit_ply``
+    wrote with colors: x y z red green blue on each vertex line."""
+    lines = text.splitlines()
+    count = int(lines[2].split()[2])  # "element vertex m"
+    start = lines.index("end_header") + 1
+    return np.array([line.split()[3:6] for line in lines[start:start + count]],
+                    dtype=np.int64)
 
 
 def emit_off(mesh):

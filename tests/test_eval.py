@@ -36,6 +36,20 @@ class TestErrorCurveClass:
         with pytest.raises(ValueError, match="nondecreasing"):
             ErrorCurve(good_t, np.array([1.0, 0.5]))
 
+    @pytest.mark.parametrize("thresholds,fractions,match", [
+        ([0.1, np.nan], [0.5, 1.0], "strictly ascending"),
+        ([np.nan], [0.5], r"\[0, 0.5\]"),
+        ([0.1, 0.2], [np.nan, 1.0], r"\[0, 1\]"),
+    ], ids=["nan-threshold", "lone-nan-threshold", "nan-fraction"])
+    def test_nan_rejected(self, thresholds, fractions, match):
+        with pytest.raises(ValueError, match=match):
+            ErrorCurve(np.array(thresholds), np.array(fractions))
+
+    def test_error_curve_rejects_nan_threshold(self):
+        # the NaN threshold counted every error: fractions [0.33, 1.0]
+        with pytest.raises(ValueError, match="strictly ascending"):
+            error_curve([0.0, 0.2, 0.3], [0.1, np.nan])
+
 
 class TestCorrespondenceError:
     def test_hand_case_on_tetra(self, tetra):
@@ -334,8 +348,9 @@ class TestExport:
         pm = PointMap(indices)
         px, py = tmp_path / "x.ply", tmp_path / "y.ply"
         export_colored_ply(mesh, mesh, pm, px, py)
-        _, _, colors_x = _parse_ply(px.read_text())
-        verts_y, _, colors_y = _parse_ply(py.read_text())
+        colors_x = _oracles.ply_colors(px.read_text())
+        colors_y = _oracles.ply_colors(py.read_text())
+        verts_y, _ = _parse_ply(py.read_text())
         assert np.array_equal(colors_x, colors_y[indices])
         assert np.array_equal(verts_y, mesh.vertices)
         # color channels span the coordinate range
@@ -347,7 +362,7 @@ class TestExport:
         pm = PointMap(np.arange(3))
         px, py = tmp_path / "x.ply", tmp_path / "y.ply"
         export_colored_ply(mesh, mesh, pm, px, py)
-        _, _, colors = _parse_ply(py.read_text())
+        colors = _oracles.ply_colors(py.read_text())
         assert (colors[:, 2] == colors[0, 2]).all()
 
     def test_validation(self, tetra, tmp_path):

@@ -65,6 +65,24 @@ class TestValidation:
         with pytest.raises(MeshValidationError, match="face 0"):
             Mesh(V3, np.array([[-1, 1, 2]]))
 
+    @pytest.mark.parametrize("triangles,message", [
+        ([[0, 1, 2], [0, 1, 2.7]], "face 1 has a non-integer vertex index: [0.0, 1.0, 2.7]"),
+        ([[0, 1, 2], [0, 1, np.nan]], "face 1 has a non-integer vertex index: [0.0, 1.0, nan]"),
+        ([[0, 1, np.inf]], "face 0 has a non-integer vertex index: [0.0, 1.0, inf]"),
+        ([[False, True, True]], "face 0 has a non-integer vertex index: [False, True, True]"),
+    ], ids=["fraction", "nan", "inf", "bool"])
+    def test_non_integer_index_named(self, triangles, message):
+        # a cast read 2.7 as vertex 2 and True as vertex 1, and let NaN
+        # escape as a bare ValueError
+        with pytest.raises(MeshValidationError) as got:
+            Mesh(V3, np.array(triangles))
+        assert str(got.value) == message
+
+    def test_integral_float_indices_accepted(self):
+        mesh = Mesh(V3, np.array([[0.0, 1.0, 2.0]]))
+        assert mesh.triangles.dtype == np.int64
+        assert mesh.triangles.tolist() == [[0, 1, 2]]
+
     def test_zero_area_face_named(self):
         v = np.vstack([V3, [2.0, 0.0, 0.0]])
         with pytest.raises(MeshValidationError, match="face 1 is degenerate"):
@@ -188,6 +206,13 @@ class TestGeodesics:
         with pytest.raises(ValueError, match="out of range"):
             geodesic_distance_matrix(tetra, sources)
 
+    def test_nan_limit_rejected(self, tetra):
+        # a NaN limit read every vertex as unreachable: rows of inf
+        with pytest.raises(ValueError, match="limit must be nonnegative, got nan"):
+            geodesic_distance_matrix(tetra, [0], limit=np.nan)
+        with pytest.raises(ValueError, match="limit must be nonnegative"):
+            geodesic_distance_matrix(tetra, [0], limit=-1.0)
+
     def test_matrix_rows_match_fields(self, ico):
         rows = geodesic_distance_matrix(ico, [0, 5, 11])
         for r, s in zip(rows, [0, 5, 11]):
@@ -305,18 +330,12 @@ class TestFormats:
                           dtype=np.uint8)
         path = tmp_path / "m.ply"
         save_mesh(mesh, path, colors=colors)
-        verts, tris, back = mesh_module._parse_ply(path.read_text())
+        verts, tris = mesh_module._parse_ply(path.read_text())
         assert np.array_equal(verts, mesh.vertices)
         assert np.array_equal(tris, mesh.triangles)
-        assert np.array_equal(back, colors)
-        # plain loader still accepts the colored file
+        assert np.array_equal(_oracles.ply_colors(path.read_text()), colors)
+        # the loader reads the geometry of the colored file
         assert load_mesh(path).num_vertices == 4
-
-    def test_ply_without_colors(self, tmp_path):
-        path = tmp_path / "m.ply"
-        save_mesh(_meshes.tetrahedron(), path)
-        _, _, colors = mesh_module._parse_ply(path.read_text())
-        assert colors is None
 
     def test_colors_rejected_elsewhere(self, tmp_path):
         mesh = _meshes.tetrahedron()
@@ -328,8 +347,11 @@ class TestFormats:
         mesh = _meshes.tetrahedron()
         with pytest.raises(ValueError, match="shape"):
             save_mesh(mesh, tmp_path / "m.ply", colors=np.zeros((3, 3), dtype=np.uint8))
-        with pytest.raises(ValueError, match=r"\[0, 255\]"):
-            save_mesh(mesh, tmp_path / "m.ply", colors=np.full((4, 3), 300))
+        # each color must equal its uint8 value; no file is written otherwise
+        for bad in (300, -1, np.nan, 1.5):
+            with pytest.raises(ValueError, match=r"integers in \[0, 255\]"):
+                save_mesh(mesh, tmp_path / "m.ply", colors=np.full((4, 3), bad))
+            assert not (tmp_path / "m.ply").exists()
 
     def test_ply_rejects_binary(self, tmp_path):
         path = tmp_path / "m.ply"
@@ -379,6 +401,11 @@ class TestWriterParity:
 
 
 TRI = "0 0 0\n1 0 0\n0 1 0\n"
+PLY_HEAD = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+            "property float y\nproperty float z\nelement face 1\n"
+            "property list uchar int vertex_indices\nend_header\n")
+PLY_RGB_HEAD = PLY_HEAD.replace("property float z\n", "property float z\nproperty uchar red\n"
+                                "property uchar green\nproperty uchar blue\n")
 
 # files both readers accept: (format, text)
 ACCEPTED_TEXTS = {
@@ -435,13 +462,12 @@ ACCEPTED_TEXTS = {
                                       "property list uchar int vertex_indices\r\n"
                                       "end_header\r\n0 0 0\r\ncomment inside\r\n\r\n"
                                       "1 0 0\r\n0 1 0\r\n 3 0 1 2\r\n"),
+    # colors are not read, so no value of theirs fails a load
+    "ply-color-300": ("ply", PLY_RGB_HEAD + "0 0 0 1 2 3\n1 0 0 300 0 0\n0 1 0 1 2 3\n3 0 1 2\n"),
+    "ply-color-nan": ("ply", PLY_RGB_HEAD + "0 0 0 1 2 3\n1 0 0 nan 0 0\n0 1 0 1 2 3\n3 0 1 2\n"),
+    "ply-color-negative": ("ply", PLY_RGB_HEAD + "0 0 0 -1 2 3\n1 0 0 0 0 0\n0 1 0 1 2 3\n"
+                                                 "3 0 1 2\n"),
 }
-
-PLY_HEAD = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
-            "property float y\nproperty float z\nelement face 1\n"
-            "property list uchar int vertex_indices\nend_header\n")
-PLY_RGB_HEAD = PLY_HEAD.replace("property float z\n", "property float z\nproperty uchar red\n"
-                                "property uchar green\nproperty uchar blue\n")
 
 # files both readers reject: (format, text)
 MALFORMED_TEXTS = {
@@ -507,10 +533,6 @@ MALFORMED_TEXTS = {
     "ply-ends-in-unknown": ("ply", PLY_HEAD.replace("end_header", "element extra 2\n"
                                                     "property float e\nend_header")
                             + TRI + "3 0 1 2\n0.5\n"),
-    "ply-color-300": ("ply", PLY_RGB_HEAD + "0 0 0 1 2 3\n1 0 0 300 0 0\n0 1 0 1 2 3\n3 0 1 2\n"),
-    "ply-color-nan": ("ply", PLY_RGB_HEAD + "0 0 0 1 2 3\n1 0 0 nan 0 0\n0 1 0 1 2 3\n3 0 1 2\n"),
-    "ply-color-negative": ("ply", PLY_RGB_HEAD + "0 0 0 -1 2 3\n1 0 0 0 0 0\n0 1 0 1 2 3\n"
-                                                 "3 0 1 2\n"),
 }
 
 # header faults the line-wise readers let escape as IndexError, a bare
@@ -578,9 +600,6 @@ READERS = {"off": (mesh_module._parse_off, _oracles.parse_off),
 def _assert_bit_equal(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
-        if b is None:
-            assert a is None
-            continue
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
 
@@ -604,6 +623,17 @@ class TestReaderParity:
             reader(text)
         assert type(got.value) is type(expected.value)
         assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("name", ["ply-color-300", "ply-color-nan", "ply-color-negative"])
+    def test_colors_out_of_uint8_load(self, name, tmp_path):
+        # a color a uint8 cannot hold escaped as a bare OverflowError or
+        # ValueError naming no file
+        path = tmp_path / "m.ply"
+        path.write_text(ACCEPTED_TEXTS[name][1])
+        verts, tris = _oracles.parse_ply(ACCEPTED_TEXTS[name][1])
+        mesh = load_mesh(path)
+        assert mesh.vertices.tobytes() == verts.tobytes()
+        assert np.array_equal(mesh.triangles, tris)
 
     def test_underscore_digits_still_parse(self):
         # np.loadtxt rejects "1_0"; the line-wise rescan takes it as int()
